@@ -1,35 +1,34 @@
 /**
  * @file
- * Wavefront batch-evaluation harness (PR 10 gate). The search tiers'
- * functional metric is a §II-B trace walk per candidate;
- * trace::BatchTraceEvaluator streams the shared trace once across
- * all candidate lanes. Three checks:
+ * Batch trace-evaluation harness. The search tiers' functional metric
+ * is a §II-B trace walk per candidate; trace::BatchTraceEvaluator runs
+ * each candidate as one lane (one TraceDrivenEvaluator over the whole
+ * shared trace) and each lane as one SweepEngine task. Three checks:
  *
- *  1. Bit identity: every lane's TraceResult must equal a solo
- *     serial TraceDrivenEvaluator run of the same design — the
- *     batch is only admissible as a search tier if it is a perfect
- *     stand-in (tests/test_batch_eval.cpp covers the full matrix;
- *     this re-checks at bench scale).
+ *  1. Bit identity: every lane's TraceResult must equal a hand loop's
+ *     solo generic TraceDrivenEvaluator walk of the same design
+ *     (tests/test_batch_eval.cpp covers the full matrix; this
+ *     re-checks at bench scale).
  *
- *  2. Single-worker ratio: batched kilo-branch-evals/s vs the serial
- *     per-candidate walk, measured in the same run on one worker.
- *     The per-lane table work is identical on both sides, so this
- *     ratio isolates the batch scheduling overhead (plus the small
- *     fused-sweep/shared-decode win) from host speed — the gate is
- *     host-independent and asserts batching is never a tax.
+ *  2. One-worker ratio: the pool helper at jobs=1 vs that hand loop,
+ *     measured in the same run. Both walk the trace once per
+ *     candidate with the same evaluator; the helper adds only task
+ *     dispatch and each lane's specialize() call. The ratio is
+ *     host-independent, and the gate asserts the helper is never a
+ *     tax.
  *
- *  3. Pool scaling: the same candidate set batched on the SweepEngine
- *     pool at jobs = min(hardware, 16). Lanes are embarrassingly
- *     parallel, so this is where the wall-clock win lives; the >= 3x
- *     ISSUE target is gated where >= 16 hardware threads exist and
- *     reduced/SKIPped on smaller hosts (same policy as
- *     bench_host_throughput's parallel-scaling leg — a pool speedup
- *     measured without real cores is noise, not signal).
+ *  3. Pool scaling: the same candidate set on the pool at
+ *     jobs = min(hardware, 16). Lanes are independent, so this is
+ *     plain task parallelism; the >= 3x target is gated where >= 16
+ *     hardware threads exist and reduced/SKIPped on smaller hosts
+ *     (same policy as bench_host_throughput's parallel-scaling leg —
+ *     a pool speedup measured without real cores is noise, not
+ *     signal).
  *
  * JSON side-cars (for tools/check_perf_regression.py, unchanged;
  * "kilocycles_per_sec" carries kilo-branch-evals/s here):
- *   bench_results/bench_batch_eval.json    batched points + speedups
- *   bench_results/BASELINE_batch_eval.json serial points (the
+ *   bench_results/bench_batch_eval.json    pool-helper points + ratios
+ *   bench_results/BASELINE_batch_eval.json hand-loop points (the
  *                                          same-run denominator)
  *
  * Gate: python3 tools/check_perf_regression.py \
@@ -95,11 +94,11 @@ makeLaneSpecs()
 }
 
 std::vector<trace::TraceResult>
-serialRun(const trace::BranchTrace& tr, std::size_t warmup,
-          const std::vector<sim::DesignSpec>& specs, unsigned lanes)
+handLoop(const trace::DecodedTrace& tr, std::size_t warmup,
+         const std::vector<sim::DesignSpec>& specs, unsigned lanes)
 {
-    // Exactly the pre-batching search tier: a fresh generic
-    // evaluator per candidate, one full trace walk each.
+    // The search tier without the helper: a fresh generic evaluator
+    // per candidate, one full trace walk each, on the calling thread.
     std::vector<trace::TraceResult> res;
     for (unsigned k = 0; k < lanes; ++k) {
         const sim::DesignSpec& spec = specs[k];
@@ -114,9 +113,9 @@ serialRun(const trace::BranchTrace& tr, std::size_t warmup,
 }
 
 std::vector<trace::BatchLaneResult>
-batchRun(const trace::BranchTrace& tr, std::size_t warmup,
-         const std::vector<sim::DesignSpec>& specs, unsigned lanes,
-         unsigned jobs)
+poolRun(const trace::DecodedTrace& tr, std::size_t warmup,
+        const std::vector<sim::DesignSpec>& specs, unsigned lanes,
+        unsigned jobs)
 {
     trace::BatchTraceEvaluator be(jobs);
     for (unsigned k = 0; k < lanes; ++k) {
@@ -154,13 +153,13 @@ main()
 
     const std::vector<sim::DesignSpec> specs = makeLaneSpecs();
 
-    std::cout << "batched vs serial functional evaluation (one "
+    std::cout << "pool helper vs hand loop functional evaluation (one "
                  "worker, best of "
               << reps << ", " << branches << " branches, warmup "
               << warmup << ")\n\n";
 
     TextTable t;
-    t.addRow({"point", "batched kbe/s", "serial kbe/s", "speedup"});
+    t.addRow({"point", "helper kbe/s", "hand-loop kbe/s", "ratio"});
     double logSum = 0.0;
     bool identical = true;
     std::size_t specializedLanes = 0;
@@ -168,26 +167,26 @@ main()
     std::ostringstream baselineJson;
     for (std::size_t pi = 0; pi < std::size(kPoints); ++pi) {
         const Point& p = kPoints[pi];
-        const trace::BranchTrace tr =
+        const trace::DecodedTrace tr =
             trace::recordTrace(cache.get(p.wl), branches);
 
-        double serialWall = 1e300;
-        double batchWall = 1e300;
+        double loopWall = 1e300;
+        double helperWall = 1e300;
         std::vector<trace::TraceResult> sres;
         std::vector<trace::BatchLaneResult> bres;
         for (unsigned r = 0; r < reps; ++r) {
             auto t0 = std::chrono::steady_clock::now();
-            sres = serialRun(tr, warmup, specs, p.lanes);
+            sres = handLoop(tr, warmup, specs, p.lanes);
             auto t1 = std::chrono::steady_clock::now();
-            serialWall = std::min(
-                serialWall,
+            loopWall = std::min(
+                loopWall,
                 std::chrono::duration<double>(t1 - t0).count());
 
             t0 = std::chrono::steady_clock::now();
-            bres = batchRun(tr, warmup, specs, p.lanes, 1);
+            bres = poolRun(tr, warmup, specs, p.lanes, 1);
             t1 = std::chrono::steady_clock::now();
-            batchWall = std::min(
-                batchWall,
+            helperWall = std::min(
+                helperWall,
                 std::chrono::duration<double>(t1 - t0).count());
         }
 
@@ -207,15 +206,15 @@ main()
         const double evals =
             static_cast<double>(p.lanes) *
             static_cast<double>(tr.size()) / 1000.0;
-        const double serialRate = evals / serialWall;
-        const double batchRate = evals / batchWall;
-        const double speedup = serialWall / batchWall;
+        const double loopRate = evals / loopWall;
+        const double helperRate = evals / helperWall;
+        const double speedup = loopWall / helperWall;
         logSum += std::log(speedup);
 
         const std::string label =
             std::string(p.wl) + "/lanes" + std::to_string(p.lanes);
-        t.addRow({label, formatDouble(batchRate, 1),
-                  formatDouble(serialRate, 1),
+        t.addRow({label, formatDouble(helperRate, 1),
+                  formatDouble(loopRate, 1),
                   formatDouble(speedup, 2) + "x"});
         if (pi != 0) {
             pointsJson << ",\n";
@@ -223,35 +222,37 @@ main()
         }
         pointsJson << "    { \"label\": \"" << sim::jsonEscape(label)
                    << "\", \"lanes\": " << p.lanes
-                   << ", \"kilocycles_per_sec\": " << batchRate
+                   << ", \"kilocycles_per_sec\": " << helperRate
                    << ", \"baseline_kilocycles_per_sec\": "
-                   << serialRate << ", \"speedup\": " << speedup
+                   << loopRate << ", \"speedup\": " << speedup
                    << " }";
         baselineJson << "    { \"label\": \"" << sim::jsonEscape(label)
-                     << "\", \"kilocycles_per_sec\": " << serialRate
+                     << "\", \"kilocycles_per_sec\": " << loopRate
                      << " }";
     }
     t.print(std::cout);
 
     const double geomean = std::exp(
         logSum / static_cast<double>(std::size(kPoints)));
-    std::cout << "\nbatched geomean vs serial (one worker): "
+    std::cout << "\npool-helper geomean vs hand loop (one worker): "
               << formatDouble(geomean, 2) << "x\n"
               << "specialized lanes: " << specializedLanes << "/"
               << kMaxLanes << "\n\n";
 
     ok &= bench::shapeCheck(
-        "batched results bit-identical to serial on every lane",
+        "pool-helper results bit-identical to the hand loop on every "
+        "lane",
         identical);
     ok &= bench::shapeCheck(
         "some lanes take the devirtualized fast path",
         specializedLanes > 0);
-    // The per-lane table work is identical on both sides, so a
-    // single worker can only win the scheduling margin (fused sweep,
-    // shared block decode). The gate asserts batching never *costs*
-    // throughput; the wall-clock win is the pool leg below.
+    // Both sides run the same evaluator over the same trace, so one
+    // worker can only show the helper's overhead (task dispatch) or
+    // the lanes' specialize() margin. The gate asserts the helper
+    // never *costs* throughput; the wall-clock win is the pool leg.
     ok &= bench::shapeCheck(
-        "one-worker batched geomean >= 0.9x serial (never a tax)",
+        "one-worker pool-helper geomean >= 0.9x hand loop (never a "
+        "tax)",
         geomean >= 0.9);
 
     // ---- Pool scaling --------------------------------------------------
@@ -264,21 +265,21 @@ main()
                   << "independent, but a pool speedup measured "
                   << "without real cores is noise\n";
     } else {
-        const trace::BranchTrace tr =
+        const trace::DecodedTrace tr =
             trace::recordTrace(cache.get("mcf"), branches);
-        double serialWall = 1e300;
+        double loopWall = 1e300;
         double poolWall = 1e300;
         for (unsigned r = 0; r < reps; ++r) {
             auto t0 = std::chrono::steady_clock::now();
-            serialRun(tr, warmup, specs, kMaxLanes);
+            handLoop(tr, warmup, specs, kMaxLanes);
             auto t1 = std::chrono::steady_clock::now();
-            serialWall = std::min(
-                serialWall,
+            loopWall = std::min(
+                loopWall,
                 std::chrono::duration<double>(t1 - t0).count());
 
             t0 = std::chrono::steady_clock::now();
             const auto outs =
-                batchRun(tr, warmup, specs, kMaxLanes, poolJobs);
+                poolRun(tr, warmup, specs, kMaxLanes, poolJobs);
             t1 = std::chrono::steady_clock::now();
             poolWall = std::min(
                 poolWall,
@@ -286,9 +287,9 @@ main()
             for (const auto& o : outs)
                 identical &= o.ok();
         }
-        poolSpeedup = serialWall / poolWall;
-        std::cout << "\n16-lane batch: serial "
-                  << formatDouble(serialWall, 2) << " s, jobs="
+        poolSpeedup = loopWall / poolWall;
+        std::cout << "\n16-lane pool: hand loop "
+                  << formatDouble(loopWall, 2) << " s, jobs="
                   << poolJobs << " " << formatDouble(poolWall, 2)
                   << " s, speedup " << formatDouble(poolSpeedup, 2)
                   << "x\n";
@@ -308,7 +309,8 @@ main()
         std::ofstream j("bench_results/bench_batch_eval.json");
         j << "{\n  \"bench\": \"batch_eval\",\n"
           << "  \"note\": \"kilocycles_per_sec carries kilo-branch-"
-          << "evals/s (lanes x trace records / wall), one worker; "
+          << "evals/s (lanes x trace records / wall) of the pool "
+          << "helper on one worker; "
           << "pool_speedup is the jobs=" << poolJobs
           << " wall-clock ratio (0 when the host has no real "
           << "cores)\",\n"
@@ -325,7 +327,7 @@ main()
           << pointsJson.str() << "\n  ]\n}\n";
         std::ofstream b("bench_results/BASELINE_batch_eval.json");
         b << "{\n  \"bench\": \"batch_eval_baseline\",\n"
-          << "  \"note\": \"serial per-candidate kilo-branch-evals/s "
+          << "  \"note\": \"hand-loop per-candidate kilo-branch-evals/s "
           << "from the same run as bench_batch_eval.json; the "
           << "denominator check_perf_regression.py divides by\",\n"
           << "  \"points\": [\n"

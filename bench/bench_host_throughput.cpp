@@ -133,7 +133,6 @@ main()
         }
         const std::string label = outs.at(pi * reps).label;
         const std::string& loop = outs.at(pi * reps).loop;
-        const unsigned group = outs.at(pi * reps).replicaGroup;
         const double base = baselineKcps(baselineDoc, label);
         const double speedup = base > 0.0 ? best / base : 0.0;
         if (base > 0.0) {
@@ -148,8 +147,7 @@ main()
         pointsJson << "    { \"label\": \"" << sim::jsonEscape(label)
                    << "\", \"loop\": \""
                    << sim::jsonEscape(loop.empty() ? "generic" : loop)
-                   << "\", \"replica_group\": " << group
-                   << ", \"kilocycles_per_sec\": " << best
+                   << "\", \"kilocycles_per_sec\": " << best
                    << ", \"baseline_kilocycles_per_sec\": " << base
                    << ", \"speedup\": " << speedup << " }";
     }

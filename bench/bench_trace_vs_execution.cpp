@@ -51,7 +51,7 @@ main()
     std::size_t pi = 0;
     for (const std::string& wl : workloads) {
         const prog::Program& p = sweep.workload(wl);
-        const trace::BranchTrace tr = trace::recordTrace(
+        const trace::DecodedTrace tr = trace::recordTrace(
             p, scale.measure / 4 + scale.warmup / 4);
 
         for (sim::Design d : designs) {

@@ -139,7 +139,6 @@ main()
           << "  \"shape_ok\": " << (ok ? "true" : "false") << ",\n"
           << "  \"fast\": " << (fast ? "true" : "false") << ",\n"
           << "  \"loop\": \"" << full.loopVariant() << "\",\n"
-          << "  \"replica_group\": 1,\n"
           << "  \"workload\": \"mcf\",\n  \"design\": \"B2\",\n"
           << "  \"warmup_insts\": " << cfg.warmupInsts << ",\n"
           << "  \"measure_insts\": " << cfg.maxInsts << ",\n"

@@ -130,21 +130,6 @@ ComposedPredictor::ComposedPredictor(Topology topo, unsigned width)
     topo_.validate();
     components_ = topo_.componentList();
     maxLatency_ = topo_.maxLatency();
-    // Response schedule for the fused sweep: a stage changes the
-    // fold only when some component first responds there, so those
-    // are the only stages evaluatePacket needs to visit (the final
-    // stage is always among them — maxLatency is a component's
-    // latency).
-    {
-        std::vector<unsigned> st;
-        for (const auto* c : components_)
-            if (c->latency() <= maxLatency_)
-                st.push_back(std::max(1u, c->latency()));
-        std::sort(st.begin(), st.end());
-        st.erase(std::unique(st.begin(), st.end()), st.end());
-        for (unsigned s : st)
-            respStages_.push_back(s);
-    }
     for (auto* c : components_) {
         if (c->fetchWidth() < width_) {
             throw guard::ConfigError("component '" + c->name() +
@@ -415,45 +400,6 @@ ComposedPredictor::evaluateStage(QueryState& q, unsigned d)
     for (unsigned i = q.validSlots_; i < width_; ++i)
         bundle.slots[i] = PredictionSlot{};
     return bundle;
-}
-
-void
-ComposedPredictor::evaluatePacket(QueryState& q, PredictionBundle& out)
-{
-    out = PredictionBundle{};
-    out.width = width_;
-    if (maxLatency_ == 0)
-        return; // No stages: the per-stage loop body never runs.
-    if (q.pc_ == kInvalidAddr) {
-        q.lastStage_ = maxLatency_;
-        return;
-    }
-    // Only stages where some component first responds can change the
-    // fold; a skipped stage's walk would recompute nothing and its
-    // returned bundle is dead. Intermediate visited stages fold into
-    // a scratch bundle (those results are dead too, but the walk's
-    // side effects — compute-once results, attribution, providers —
-    // must happen at the right d); the final stage folds into @p out.
-    PredictionBundle scratch;
-    const std::size_t nStages = respStages_.size();
-    for (std::size_t si = 0; si < nStages; ++si) {
-        const unsigned d = respStages_[si];
-        PredictionBundle& b = si + 1 == nStages ? out : scratch;
-        b = PredictionBundle{};
-        b.width = width_;
-        if (specialized_) {
-            for (const PlanStep& s : plans_[d - 1]) {
-                applyComponent<true>(q, s.node, d, b,
-                                     s.arb ? &topo_.node(s.node).children
-                                           : nullptr);
-            }
-        } else {
-            evalNode(q, topo_.root().idx, d, b);
-        }
-    }
-    q.lastStage_ = maxLatency_;
-    for (unsigned i = q.validSlots_; i < width_; ++i)
-        out.slots[i] = PredictionSlot{};
 }
 
 void

@@ -189,21 +189,6 @@ class ComposedPredictor
      */
     PredictionBundle evaluateStage(QueryState& q, unsigned d);
 
-    /**
-     * Fused idealized stage sweep: equivalent to calling
-     * evaluateStage(q, d) for every d in [1, maxLatency()] and
-     * keeping the last bundle, but visits only the stages at which
-     * some component first responds and writes the final fold
-     * straight into @p out — no per-stage bundle construction or
-     * return copies. Every component still computes exactly once, at
-     * its response stage, with the same predict_in fold, so the
-     * result (and all per-query state: metadata, providers,
-     * attribution) is bit-identical to the per-stage sweep, which
-     * remains the reference path (tests/test_batch_eval.cpp compares
-     * the two). Used by the wavefront batch evaluator's lanes.
-     */
-    void evaluatePacket(QueryState& q, PredictionBundle& out);
-
     // ---- Specialized loops (ROADMAP item 4; bpu/specialize.hpp) ------
 
     /**
@@ -306,9 +291,6 @@ class ComposedPredictor
     Topology topo_;
     unsigned width_;
     unsigned maxLatency_;
-    /** Distinct stages at which any component first responds
-     *  (clamped to >= 1) — the stages evaluatePacket must visit. */
-    SmallVector<unsigned, 8> respStages_;
     std::vector<PredictorComponent*> components_;
     /** Topology-node index -> metadata slot, precomputed once so the
      *  per-query path never does the O(n) component scan. */

@@ -180,6 +180,31 @@ errorClassOf(const std::exception& e)
 }
 
 /**
+ * Describe the exception in flight (call from a catch block) as a
+ * message plus its errorClassOf() class. A DeadlockError keeps the
+ * watchdog's post-mortem appended to its message; a non-std exception
+ * (say, `throw 42` from a user-supplied factory) is "internal", like
+ * any other unclassified failure. The sweep engine and the batch trace
+ * evaluator both report failures through this one helper.
+ */
+inline void
+captureCurrentException(std::string& error, std::string& error_class)
+{
+    try {
+        throw;
+    } catch (const DeadlockError& e) {
+        error = std::string(e.what()) + "\n" + e.postMortem();
+        error_class = errorClassOf(e);
+    } catch (const std::exception& e) {
+        error = e.what();
+        error_class = errorClassOf(e);
+    } catch (...) {
+        error = "unknown non-std exception";
+        error_class = "internal";
+    }
+}
+
+/**
  * Whether a failure class is transient — plausibly environmental, so
  * a bounded retry may succeed (timeouts under host load, checkpoint
  * cache entries that are regenerated after rejection, unclassified

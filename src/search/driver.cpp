@@ -41,25 +41,6 @@ note(const SearchConfig& cfg, const std::string& line)
         std::fprintf(stderr, "cobra_search: %s\n", line.c_str());
 }
 
-/** Per-workload functional (trace-driven) accuracies. */
-std::vector<double>
-functionalAccuracies(const sim::DesignSpec& spec,
-                     const std::vector<trace::BranchTrace>& traces,
-                     std::size_t warmup)
-{
-    std::vector<double> acc;
-    acc.reserve(traces.size());
-    for (const auto& tr : traces) {
-        bpu::ComposedPredictor pred(sim::buildTopology(spec),
-                                    spec.fetchWidth);
-        trace::TraceDrivenEvaluator ev(std::move(pred),
-                                       spec.bpu.ghistBits,
-                                       spec.bpu.lhistBits);
-        acc.push_back(ev.evaluate(tr, warmup).accuracy());
-    }
-    return acc;
-}
-
 /** Stable ordering key: sort by a metric, tie on area then id. */
 template <typename Metric>
 std::vector<std::size_t>
@@ -279,7 +260,7 @@ runSearch(const SearchConfig& cfg, prog::WorkloadCache& cache)
     }
 
     // ---- Workload features + shared traces ---------------------------
-    std::vector<trace::BranchTrace> traces;
+    std::vector<trace::DecodedTrace> traces;
     for (const auto& w : cfg.workloads) {
         traces.push_back(
             trace::recordTrace(cache.get(w), cfg.traceBranches));
@@ -302,12 +283,11 @@ runSearch(const SearchConfig& cfg, prog::WorkloadCache& cache)
         c.tier = "functional";
         ++r.functionalEvals;
     };
-    // Evaluate every not-yet-measured candidate in @p set. Batched
-    // mode streams each shared trace once and fans it across
-    // wavefront lanes (trace/batch_eval.hpp); lanes are independent,
-    // so the per-candidate accuracies — and therefore the frontier
-    // artifact — are bit-identical to the serial per-candidate walk
-    // (the CI batch-exactness leg byte-compares both).
+    // Evaluate every not-yet-measured candidate in @p set: one batch
+    // lane per candidate per shared trace (trace/batch_eval.hpp).
+    // Lanes are independent, so the per-candidate accuracies — and
+    // therefore the frontier artifact — are identical at any --jobs
+    // (the CI batch-exactness leg byte-compares jobs 1 and 4).
     auto evalFunctionalSet = [&](const std::vector<std::size_t>& set) {
         std::vector<std::size_t> need;
         for (std::size_t i : set)
@@ -315,14 +295,6 @@ runSearch(const SearchConfig& cfg, prog::WorkloadCache& cache)
                 need.push_back(i);
         if (need.empty())
             return;
-        if (!cfg.batchEval) {
-            for (std::size_t i : need) {
-                funcAcc[i] = functionalAccuracies(
-                    r.candidates[i].spec, traces, cfg.traceWarmup);
-                finishFunctional(i);
-            }
-            return;
-        }
         for (std::size_t i : need)
             funcAcc[i].resize(traces.size());
         for (std::size_t wi = 0; wi < traces.size(); ++wi) {
@@ -343,9 +315,9 @@ runSearch(const SearchConfig& cfg, prog::WorkloadCache& cache)
             const auto outs = be.evaluate(traces[wi], cfg.traceWarmup);
             for (std::size_t k = 0; k < need.size(); ++k) {
                 if (!outs[k].ok()) {
-                    // Serial semantics: a candidate that cannot be
-                    // built/evaluated fails the whole search with
-                    // its original exception.
+                    // A candidate that cannot be built or evaluated
+                    // fails the whole search with its original
+                    // exception.
                     std::rethrow_exception(outs[k].exception);
                 }
                 funcAcc[need[k]][wi] = outs[k].result.accuracy();

@@ -79,14 +79,6 @@ struct SearchConfig
     double ridgeLambda = 1.0;
     unsigned jobs = 0; ///< Worker pool for all tiers.
     bool progress = false;
-    /**
-     * Evaluate tier-0/1 candidates through the wavefront batch
-     * evaluator (trace/batch_eval.hpp): each shared trace streams
-     * once across all candidate lanes instead of once per candidate.
-     * Off falls back to the serial per-candidate walk; the frontier
-     * artifact is byte-identical either way.
-     */
-    bool batchEval = true;
 
     /** Throws guard::ConfigError naming the offending field. */
     void validate() const;

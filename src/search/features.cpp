@@ -130,7 +130,7 @@ WorkloadFeatures::names()
 }
 
 WorkloadFeatures
-workloadFeatures(const std::string& name, const trace::BranchTrace& tr,
+workloadFeatures(const std::string& name, const trace::DecodedTrace& tr,
                  std::size_t warmup)
 {
     WorkloadFeatures f;
@@ -143,23 +143,26 @@ workloadFeatures(const std::string& name, const trace::BranchTrace& tr,
     std::uint64_t ghist = 0;
     std::uint64_t takenCount = 0;
 
-    for (std::size_t i = 0; i < tr.records.size(); ++i) {
-        const auto& rec = tr.records[i];
-        const bool measured = i >= warmup;
-        const std::uint64_t key = siteKey(rec.pc, rec.slot);
+    std::size_t cond = 0;
+    for (std::size_t i = 0; i < tr.size(); ++i) {
+        if (tr.typeAt(i) != trace::RecordType::Cond)
+            continue;
+        const bool measured = cond++ >= warmup;
+        const bool taken = tr.takenAt(i);
+        const std::uint64_t key = siteKey(tr.pc[i], tr.slotAt(i));
 
         for (auto& ref : refs)
-            ref.step(key, ghist, rec.taken, measured);
+            ref.step(key, ghist, taken, measured);
         alias10.step(key, measured);
         alias14.step(key, measured);
         if (measured) {
             ++f.branches;
-            takenCount += rec.taken ? 1 : 0;
+            takenCount += taken ? 1 : 0;
             auto& sc = sites[key];
             ++sc.total;
-            sc.taken += rec.taken ? 1 : 0;
+            sc.taken += taken ? 1 : 0;
         }
-        ghist = (ghist << 1) | (rec.taken ? 1 : 0);
+        ghist = (ghist << 1) | (taken ? 1 : 0);
     }
 
     f.staticBranches = sites.size();

@@ -62,11 +62,13 @@ struct WorkloadFeatures
 };
 
 /**
- * Single-pass feature measurement over @p tr. The first @p warmup
- * records train the reference tables but are not measured.
+ * Single-pass feature measurement over the conditional records of
+ * @p tr (other records are skipped, as TraceDrivenEvaluator does).
+ * The first @p warmup of them train the reference tables but are not
+ * measured.
  */
 WorkloadFeatures workloadFeatures(const std::string& name,
-                                  const trace::BranchTrace& tr,
+                                  const trace::DecodedTrace& tr,
                                   std::size_t warmup);
 
 /** Static properties of one candidate design. */

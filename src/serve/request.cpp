@@ -135,7 +135,6 @@ parseSearchBlock(const Json& doc)
     cfg.detailInsts = s->getU64("insts", cfg.detailInsts);
     cfg.detailWarmup = s->getU64("warmup", cfg.detailWarmup);
     cfg.ridgeLambda = s->getDouble("ridge_lambda", cfg.ridgeLambda);
-    cfg.batchEval = s->getBool("batch_eval", cfg.batchEval);
     return cfg;
 }
 

@@ -1,26 +1,14 @@
 /**
  * @file
- * Wavefront batch trace evaluation. The §II-B trace-driven evaluator
+ * Batch trace evaluation. The §II-B trace-driven evaluator
  * (trace/trace.hpp) is the search tiers' cheap screening metric, and
- * the search driver needs it for *many* candidate designs over the
- * *same* recorded trace. Walking the trace once per candidate
- * serializes M full streams, each paying the stream decode and the
- * per-stage composer walk in full. This module streams the trace
- * ONCE and fans blocks of records out across M independent candidate
- * lanes — a blocked wavefront: each block is decoded (record fetch,
- * warmup disposition) once for all lanes, each lane then runs the
- * block with its tables cache-hot before the rotation moves on, and
- * every lane takes the fused packet sweep
- * (ComposedPredictor::evaluatePacket) plus, where its tuple is
- * registered, the devirtualized fast path. Lanes share no predictor
- * state, so any cross-lane interleaving is exact: each lane sees
- * precisely the serial evaluator's record sequence, and its
- * TraceResult is bit-identical to a solo run (enforced by
- * tests/test_batch_eval.cpp).
- *
- * Lane chunks are scheduled on the work-stealing SweepEngine pool;
- * results come back in lane submission order regardless of the
- * worker count.
+ * the search driver needs it for many candidate designs over the same
+ * recorded trace. Each candidate is one lane: its own
+ * TraceDrivenEvaluator walking the whole trace, run as one
+ * SweepEngine::runTasks task. Lanes share nothing but the read-only
+ * trace, so every lane's TraceResult is bit-identical to a solo run
+ * at any worker count (tests/test_batch_eval.cpp), and results come
+ * back in lane submission order.
  */
 
 #ifndef COBRA_TRACE_BATCH_EVAL_HPP
@@ -45,7 +33,7 @@ struct BatchLane
 
     /**
      * Builds the lane's composed pipeline. Called once per
-     * evaluate(), on the worker thread that runs the lane's chunk —
+     * evaluate(), on the worker thread that runs the lane —
      * construction cost parallelizes with the pool.
      */
     std::function<bpu::ComposedPredictor()> predictor;
@@ -74,41 +62,15 @@ struct BatchLaneResult
 
 /**
  * Batched multi-design trace evaluator: add lanes, then evaluate
- * them all in one pass over a trace. A failing lane (bad topology
- * factory, mid-stream contract violation) is captured in its own
- * result slot and does not disturb the other lanes.
+ * them all over one trace. A failing lane (bad topology factory,
+ * mid-stream contract violation) is captured in its own result slot
+ * and does not disturb the other lanes.
  */
 class BatchTraceEvaluator
 {
   public:
     /** @param jobs SweepEngine worker count; 0 means defaultJobs(). */
     explicit BatchTraceEvaluator(unsigned jobs = 1);
-
-    /**
-     * Lanes evaluated together by one worker, per task. Small chunks
-     * schedule better across workers; larger chunks amortize each
-     * block's decode over more lanes. 0 (the default) sizes chunks
-     * automatically from the worker count: enough tasks to keep
-     * every worker busy, as large as that allows.
-     */
-    void setChunkLanes(unsigned n);
-
-    /**
-     * Records per wavefront block: how long one lane streams before
-     * the rotation moves to the next lane. Larger blocks keep each
-     * lane's tables resident longer; smaller blocks tighten the
-     * interleave. Any value is bit-identical — this is purely a
-     * host-side schedule.
-     */
-    void setBlockRecords(std::size_t n);
-
-    /**
-     * Bind each lane's devirtualized fused loop when its tuple is
-     * registered (bpu/specialize.hpp); unregistered tuples take the
-     * generic path. On by default; results are bit-identical either
-     * way (the exactness CI leg runs both).
-     */
-    void setSpecialize(bool on) { specialize_ = on; }
 
     /** Queue a lane; returns its index in the results vector. */
     std::size_t addLane(BatchLane lane);
@@ -117,27 +79,18 @@ class BatchTraceEvaluator
     std::size_t pending() const { return lanes_.size(); }
 
     /**
-     * Stream @p trace once through every queued lane; skips the
-     * first @p warmup records per lane, exactly like
-     * TraceDrivenEvaluator::evaluate. Clears the lane set.
+     * Evaluate every queued lane over @p trace, skipping the first
+     * @p warmup conditional records exactly like
+     * TraceDrivenEvaluator::evaluate, and clear the lane set. Each
+     * lane binds its devirtualized loop when its tuple is registered
+     * (bpu/specialize.hpp); results are bit-identical either way.
      */
-    std::vector<BatchLaneResult> evaluate(const BranchTrace& trace,
-                                          std::size_t warmup = 0);
-
-    /** DecodedTrace overload: conditional records only, as serial. */
     std::vector<BatchLaneResult> evaluate(const DecodedTrace& trace,
                                           std::size_t warmup = 0);
 
   private:
-    template <typename Trace>
-    std::vector<BatchLaneResult> run(const Trace& trace,
-                                     std::size_t warmup);
-
     std::vector<BatchLane> lanes_;
     unsigned jobs_;
-    unsigned chunkLanes_ = 0;
-    std::size_t blockRecs_ = 4096;
-    bool specialize_ = true;
 };
 
 } // namespace cobra::trace

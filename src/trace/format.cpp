@@ -79,17 +79,6 @@ unzigzag(std::uint64_t v)
            -static_cast<std::int64_t>(v & 1);
 }
 
-/** Packed meta byte: bits 0-1 type, 2 taken, 3 hasTarget, 4-6 slot. */
-std::uint8_t
-packMeta(const TraceRecord& r, bool has_target)
-{
-    return static_cast<std::uint8_t>(
-        (static_cast<unsigned>(r.type) & 0x3) |
-        (static_cast<unsigned>(r.taken) << 2) |
-        (static_cast<unsigned>(has_target) << 3) |
-        ((r.slot & 0x7u) << 4));
-}
-
 /** Header field offsets (see format.hpp for the layout contract). */
 enum HeaderOffset : std::size_t
 {
@@ -145,6 +134,16 @@ deflateAvailable()
 #else
     return false;
 #endif
+}
+
+std::uint8_t
+DecodedBlock::packMeta(const TraceRecord& r)
+{
+    return static_cast<std::uint8_t>(
+        (static_cast<unsigned>(r.type) & 0x3) |
+        (static_cast<unsigned>(r.taken) << 2) |
+        (static_cast<unsigned>(r.target != kInvalidAddr) << 3) |
+        ((r.slot & 0x7u) << 4));
 }
 
 TraceRecord
@@ -238,7 +237,7 @@ TraceWriter::flushBlock()
     Addr prev_pc = 0;
     for (const TraceRecord& r : pending_) {
         const bool has_target = r.target != kInvalidAddr;
-        scratch_.push_back(packMeta(r, has_target));
+        scratch_.push_back(DecodedBlock::packMeta(r));
         putVarint(scratch_, zigzag(static_cast<std::int64_t>(
                                 r.pc - prev_pc)));
         if (has_target) {

@@ -160,6 +160,10 @@ struct DecodedBlock
 
     std::size_t size() const { return pc.size(); }
 
+    /** Packed meta byte: bits 0-1 type, 2 taken, 3 has-target (target
+     *  != kInvalidAddr), 4-6 slot. */
+    static std::uint8_t packMeta(const TraceRecord& r);
+
     static RecordType typeOf(std::uint8_t m)
     {
         return static_cast<RecordType>(m & 0x3);

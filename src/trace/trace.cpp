@@ -1,30 +1,34 @@
 #include "trace/trace.hpp"
 
-#include "trace/replay.hpp"
-
 namespace cobra::trace {
 
-BranchTrace
+DecodedTrace
 recordTrace(const prog::Program& program, std::size_t num_branches,
             std::uint64_t seed)
 {
     exec::Oracle oracle(program, seed);
-    BranchTrace trace;
-    trace.records.reserve(num_branches);
-    const unsigned width = 4;
-    while (trace.records.size() < num_branches) {
+    DecodedTrace trace;
+    trace.meta.name = program.name();
+    trace.pc.reserve(num_branches);
+    trace.target.reserve(num_branches);
+    trace.rmeta.reserve(num_branches);
+    const unsigned width = trace.meta.fetchWidth;
+    while (trace.size() < num_branches) {
         const exec::DynInst& di = oracle.consume();
         if (di.isCondBranch()) {
-            BranchRecord r;
-            // Packet-align the PC the way the fetch unit would.
+            TraceRecord r;
             r.pc = di.pc;
-            r.slot = static_cast<unsigned>((di.pc >> 2) & (width - 1));
+            // Packet-align the PC the way the fetch unit would.
+            r.slot = static_cast<std::uint8_t>((di.pc >> 2) & (width - 1));
             r.taken = di.taken;
             r.target = di.taken ? di.nextPc : kInvalidAddr;
-            trace.records.push_back(r);
+            trace.pc.push_back(r.pc);
+            trace.target.push_back(r.target);
+            trace.rmeta.push_back(DecodedBlock::packMeta(r));
         }
         oracle.retireUpTo(di.seq);
     }
+    trace.meta.recordCount = trace.meta.condCount = trace.size();
     return trace;
 }
 
@@ -38,98 +42,60 @@ TraceDrivenEvaluator::TraceDrivenEvaluator(bpu::ComposedPredictor pred,
 }
 
 void
-TraceDrivenEvaluator::predictStep(Addr pc, unsigned slot_idx,
-                                  bool taken, Addr target,
-                                  bool measured, TraceResult& res)
+TraceDrivenEvaluator::step(Addr pc, unsigned slot_idx, bool taken,
+                           Addr target, bool measured, TraceResult& res)
 {
-    lidx_ = (pc >> 4) % lhist_.size();
+    const std::size_t lidx = (pc >> 4) % lhist_.size();
 
     // Idealized predict: perfect, instantly-updated histories.
     q_.reset(pc, pred_.width(), numComps_, pred_.width());
-    q_.captureHistory(ghist_, lhist_[lidx_]);
-    if (fused_) {
-        pred_.evaluatePacket(q_, bundle_);
-    } else {
-        bundle_ = bpu::PredictionBundle{};
-        bundle_.width = pred_.width();
-        for (unsigned d = 1; d <= pred_.maxLatency(); ++d)
-            bundle_ = pred_.evaluateStage(q_, d);
-    }
+    q_.captureHistory(ghist_, lhist_[lidx]);
+    bundle_ = bpu::PredictionBundle{};
+    bundle_.width = pred_.width();
+    for (unsigned d = 1; d <= pred_.maxLatency(); ++d)
+        bundle_ = pred_.evaluateStage(q_, d);
 
     const auto& slot = bundle_.slots[slot_idx];
-    const bool pred = slot.valid && slot.taken;
+    const bool mispredicted = (slot.valid && slot.taken) != taken;
     if (measured) {
         ++res.branches;
-        res.mispredicts += pred != taken;
+        res.mispredicts += mispredicted;
     }
 
-    pc_ = pc;
-    slot_ = slot_idx;
-    taken_ = taken;
-    target_ = target;
-    mispredicted_ = pred != taken;
-}
-
-void
-TraceDrivenEvaluator::updateStep()
-{
     // Immediate, in-order update — no speculation, no delay.
     bpu::ResolveEvent ev;
-    ev.pc = pc_;
+    ev.pc = pc;
     ev.ghist = &q_.ghist();
     ev.lhist = q_.lhist();
-    ev.brMask[slot_] = true;
-    ev.takenMask[slot_] = taken_;
-    ev.cfiValid = taken_;
-    ev.cfiIdx = slot_;
+    ev.brMask[slot_idx] = true;
+    ev.takenMask[slot_idx] = taken;
+    ev.cfiValid = taken;
+    ev.cfiIdx = slot_idx;
     ev.cfiType = bpu::CfiType::Br;
-    ev.cfiTaken = taken_;
-    ev.target = target_;
-    ev.mispredicted = mispredicted_;
+    ev.cfiTaken = taken;
+    ev.target = target;
+    ev.mispredicted = mispredicted;
     ev.predicted = &bundle_;
 
     // Fire (speculative components like the loop predictor count
     // at query time, and in a trace model speculation is perfect).
     bpu::FireEvent fev;
-    fev.pc = pc_;
+    fev.pc = pc;
     fev.finalPred = &bundle_;
     fev.ghist = &q_.ghist();
     fev.lhist = q_.lhist();
     metas_ = q_.metadata();
     pred_.fire(fev, metas_);
-    if (ev.mispredicted) {
+    if (mispredicted) {
         // Immediate resolution: the fast mispredict event fires
         // right away (perfect repair, zero delay).
         pred_.mispredict(ev, metas_);
     }
     pred_.update(ev, metas_);
 
-    ghist_.push(taken_);
-    lhist_[lidx_] = ((lhist_[lidx_] << 1) | (taken_ ? 1 : 0)) &
-                    maskBits(lhistBits_);
-}
-
-void
-TraceDrivenEvaluator::prefetchNext(Addr pc)
-{
-    bpu::PredictContext ctx;
-    ctx.pc = pc;
-    ctx.validSlots = pred_.width();
-    ctx.ghist = &ghist_;
-    ctx.lhist = lhist_[(pc >> 4) % lhist_.size()];
-    pred_.prefetchAll(ctx);
-}
-
-TraceResult
-TraceDrivenEvaluator::evaluate(const BranchTrace& trace,
-                               std::size_t warmup)
-{
-    TraceResult res;
-    for (std::size_t n = 0; n < trace.records.size(); ++n) {
-        const BranchRecord& r = trace.records[n];
-        step(r.pc, r.slot, r.taken, r.target, n >= warmup, res);
-    }
-    return res;
+    ghist_.push(taken);
+    lhist_[lidx] = ((lhist_[lidx] << 1) | (taken ? 1 : 0)) &
+                   maskBits(lhistBits_);
 }
 
 TraceResult

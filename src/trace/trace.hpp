@@ -16,38 +16,26 @@
 #include <vector>
 
 #include "bpu/composer.hpp"
-#include "exec/oracle.hpp"
 #include "program/program.hpp"
+#include "trace/replay.hpp"
 
 namespace cobra::trace {
-
-struct DecodedTrace; // trace/replay.hpp
-
-/** One record of a CBP-style conditional-branch trace. */
-struct BranchRecord
-{
-    Addr pc = kInvalidAddr;   ///< Fetch-packet PC of the branch.
-    unsigned slot = 0;        ///< Aligned slot within the packet.
-    bool taken = false;
-    Addr target = kInvalidAddr;
-};
-
-/** A recorded architectural branch trace. */
-struct BranchTrace
-{
-    std::vector<BranchRecord> records;
-
-    std::size_t size() const { return records.size(); }
-};
 
 /**
  * Record the committed conditional-branch stream of a program by
  * running the oracle executor directly (this is what a hardware
- * trace-capture or a functional simulator would produce).
+ * trace-capture or a functional simulator would produce). The trace
+ * holds conditional records only and is tagged External with no
+ * instruction guarantee (sourceInsts = 0), so validateReplayMeta
+ * rejects it as a full-core replay source.
  */
-BranchTrace recordTrace(const prog::Program& program,
-                        std::size_t num_branches,
-                        std::uint64_t seed = 0xD15EA5E);
+DecodedTrace recordTrace(const prog::Program& program,
+                         std::size_t num_branches,
+                         std::uint64_t seed = 0xD15EA5E);
+
+/** Former name of the recorded-trace type, kept only because the
+ *  perfbench harness still names it. */
+using BranchTrace = DecodedTrace;
 
 /** Results of a trace-driven evaluation. */
 struct TraceResult
@@ -90,61 +78,20 @@ class TraceDrivenEvaluator
     bool specialized() const { return pred_.specialized(); }
 
     /**
-     * Route predictStep() through the composer's fused packet sweep
-     * (ComposedPredictor::evaluatePacket) instead of the per-stage
-     * evaluateStage() walk. Bit-identical results; off by default so
-     * the serial evaluator stays the reference implementation the
-     * exactness tests compare against. The batch evaluator turns
-     * this on for its lanes.
-     */
-    void setFusedPredict(bool on) { fused_ = on; }
-    bool fusedPredict() const { return fused_; }
-
-    /** Evaluate the trace; skips the first @p warmup records. */
-    TraceResult evaluate(const BranchTrace& trace,
-                         std::size_t warmup = 0);
-
-    /**
-     * Evaluate the conditional-branch records of a decoded binary
-     * trace (trace/replay.hpp); non-conditional records are skipped,
-     * so a captured trace evaluates exactly like the recordTrace
-     * stream of the same workload. @p warmup counts conditional
-     * records.
+     * Evaluate the conditional-branch records of @p trace; other
+     * records (a captured trace's indirect jumps and calls) are
+     * skipped, so a captured trace evaluates exactly like the
+     * recordTrace stream of the same workload. The first @p warmup
+     * conditional records train but are not measured.
      */
     TraceResult evaluate(const DecodedTrace& trace,
                          std::size_t warmup = 0);
 
-    /**
-     * Split-phase step API for the wavefront batch evaluator
-     * (trace/batch_eval.hpp). One idealized step is predictStep()
-     * immediately followed by updateStep() for the same record; the
-     * split lets a caller schedule many independent lanes' phases
-     * around each other. Each lane still sees exactly the serial
-     * call sequence, so results are bit-identical to step().
-     */
-    void predictStep(Addr pc, unsigned slot, bool taken, Addr target,
-                     bool measured, TraceResult& res);
-
-    /** Phase 2: resolve/update the record passed to predictStep(). */
-    void updateStep();
-
-    /**
-     * Architecturally inert host-cache hint: pull the rows the next
-     * record's predict phase will index toward the cache while other
-     * lanes' work is in flight.
-     */
-    void prefetchNext(Addr pc);
-
-    /** One idealized predict/update step; counts when @p measured. */
-    void
-    step(Addr pc, unsigned slot, bool taken, Addr target,
-         bool measured, TraceResult& res)
-    {
-        predictStep(pc, slot, taken, target, measured, res);
-        updateStep();
-    }
-
   private:
+    /** One idealized predict/update step; counts when @p measured. */
+    void step(Addr pc, unsigned slot, bool taken, Addr target,
+              bool measured, TraceResult& res);
+
     bpu::ComposedPredictor pred_;
     HistoryRegister ghist_;
     unsigned lhistBits_;
@@ -154,18 +101,9 @@ class TraceDrivenEvaluator
     // component-result storage across records, so the stream loop
     // stops constructing/allocating per branch.
     unsigned numComps_;
-    bool fused_ = false;
     bpu::QueryState q_;
     bpu::PredictionBundle bundle_;
     bpu::MetadataBundle metas_;
-
-    // The record in flight between the two phases.
-    Addr pc_ = kInvalidAddr;
-    Addr target_ = kInvalidAddr;
-    unsigned slot_ = 0;
-    std::size_t lidx_ = 0;
-    bool taken_ = false;
-    bool mispredicted_ = false;
 };
 
 } // namespace cobra::trace

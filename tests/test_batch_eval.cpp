@@ -1,13 +1,13 @@
 /**
  * @file
- * Wavefront batch-evaluation tests: the batch evaluator is only
- * admissible as a search tier if every lane's TraceResult is
- * bit-identical to a solo serial TraceDrivenEvaluator walk of the
- * same design. The matrix: every library component kind, lane counts
- * {1, 3, 16}, warmup offsets, specialized vs generic lanes, worker
- * widths, the decoded-trace path, lane error isolation, and the
- * end-to-end search-driver property (the frontier artifact does not
- * change when tier-0/1 evaluation is batched).
+ * Batch-evaluation tests: the batch evaluator is only admissible as a
+ * search tier if every lane's TraceResult is bit-identical to a solo
+ * generic TraceDrivenEvaluator walk of the same design. The matrix:
+ * every library component kind, lane counts {1, 3, 16}, warmup
+ * offsets, specialized lanes vs generic serial walks, worker widths,
+ * a captured trace, lane error isolation, and the end-to-end
+ * search-driver property (the frontier artifact does not change with
+ * the worker count).
  */
 
 #include <filesystem>
@@ -47,10 +47,10 @@ cache()
     return c;
 }
 
-const trace::BranchTrace&
+const trace::DecodedTrace&
 sharedTrace()
 {
-    static const trace::BranchTrace tr =
+    static const trace::DecodedTrace tr =
         trace::recordTrace(cache().get("mcf"), 6'000);
     return tr;
 }
@@ -204,9 +204,9 @@ TEST(BatchEval, EveryComponentKindMatchesSerial)
 
 TEST(BatchEval, LaneCountsAndWarmupOffsetsMatchSerial)
 {
-    // Identity must hold for any lane count (1 = degenerate batch,
-    // 3 = partial wavefront, 16 = two default chunks) and any warmup
-    // boundary, including 0 and a warmup past the trace end.
+    // Identity must hold for any lane count (1, 3, and 16 — more
+    // lanes than there are kinds) and any warmup boundary, including
+    // 0 and a warmup past the trace end.
     const std::vector<KindLane> kinds = kindLanes();
     for (unsigned lanes : {1u, 3u, 16u}) {
         for (std::size_t warmup : {std::size_t{0}, std::size_t{1'500},
@@ -236,36 +236,30 @@ TEST(BatchEval, SpecializedLanesMatchGenericSerial)
 {
     // Preset tuples are registered with the devirtualization
     // registry, so their lanes must take the specialized loop — and
-    // still reproduce the generic serial walk exactly. A lane with
-    // specialization disabled stays generic and matches too.
-    for (bool specialize : {true, false}) {
-        trace::BatchTraceEvaluator be(1);
-        be.setSpecialize(specialize);
-        std::vector<std::function<bpu::ComposedPredictor()>> makes;
-        for (sim::Design d : {sim::Design::Tourney, sim::Design::B2,
-                              sim::Design::TageL}) {
-            const sim::DesignSpec spec = sim::presetSpec(d);
-            makes.push_back([spec] {
-                return bpu::ComposedPredictor(sim::buildTopology(spec),
-                                              spec.fetchWidth);
-            });
-            trace::BatchLane lane;
-            lane.label = spec.name;
-            lane.ghistBits = spec.bpu.ghistBits;
-            lane.lhistBits = spec.bpu.lhistBits;
-            lane.predictor = makes.back();
-            be.addLane(std::move(lane));
-        }
-        const auto outs = be.evaluate(sharedTrace(), 1'000);
-        ASSERT_EQ(outs.size(), makes.size());
-        for (std::size_t i = 0; i < outs.size(); ++i) {
-            ASSERT_TRUE(outs[i].ok()) << outs[i].error;
-            EXPECT_EQ(outs[i].loop,
-                      specialize ? "specialized" : "generic");
-            expectSame(outs[i].result,
-                       serialResult(makes[i], 1'000),
-                       outs[i].label);
-        }
+    // still reproduce the generic serial walk exactly.
+    trace::BatchTraceEvaluator be(1);
+    std::vector<std::function<bpu::ComposedPredictor()>> makes;
+    for (sim::Design d : {sim::Design::Tourney, sim::Design::B2,
+                          sim::Design::TageL}) {
+        const sim::DesignSpec spec = sim::presetSpec(d);
+        makes.push_back([spec] {
+            return bpu::ComposedPredictor(sim::buildTopology(spec),
+                                          spec.fetchWidth);
+        });
+        trace::BatchLane lane;
+        lane.label = spec.name;
+        lane.ghistBits = spec.bpu.ghistBits;
+        lane.lhistBits = spec.bpu.lhistBits;
+        lane.predictor = makes.back();
+        be.addLane(std::move(lane));
+    }
+    const auto outs = be.evaluate(sharedTrace(), 1'000);
+    ASSERT_EQ(outs.size(), makes.size());
+    for (std::size_t i = 0; i < outs.size(); ++i) {
+        ASSERT_TRUE(outs[i].ok()) << outs[i].error;
+        EXPECT_EQ(outs[i].loop, "specialized");
+        expectSame(outs[i].result, serialResult(makes[i], 1'000),
+                   outs[i].label);
     }
 }
 
@@ -274,7 +268,6 @@ TEST(BatchEval, WorkerWidthDoesNotChangeResults)
     const std::vector<KindLane> kinds = kindLanes();
     auto runAt = [&](unsigned jobs) {
         trace::BatchTraceEvaluator be(jobs);
-        be.setChunkLanes(3); // Several chunks even at 10 lanes.
         for (const KindLane& k : kinds) {
             trace::BatchLane lane;
             lane.label = k.kind;
@@ -290,21 +283,6 @@ TEST(BatchEval, WorkerWidthDoesNotChangeResults)
         ASSERT_TRUE(one[i].ok() && four[i].ok());
         EXPECT_EQ(one[i].label, four[i].label);
         expectSame(one[i].result, four[i].result, one[i].label);
-    }
-}
-
-TEST(BatchEval, FusedPredictMatchesPerStageReference)
-{
-    // The lane fast path (ComposedPredictor::evaluatePacket) against
-    // the per-stage reference walk, same evaluator class, lockstep.
-    for (const KindLane& k : kindLanes()) {
-        trace::TraceDrivenEvaluator ref(k.make());
-        trace::TraceDrivenEvaluator fused(k.make());
-        fused.setFusedPredict(true);
-        EXPECT_TRUE(fused.fusedPredict());
-        const trace::TraceResult a = ref.evaluate(sharedTrace(), 500);
-        const trace::TraceResult b = fused.evaluate(sharedTrace(), 500);
-        expectSame(a, b, k.kind);
     }
 }
 
@@ -366,8 +344,16 @@ TEST(BatchEval, FailedLaneDoesNotDisturbTheOthers)
         ok.predictor = kinds[3].make;
         be.addLane(std::move(ok));
     }
+    {
+        // A non-std exception lands in the same taxonomy the sweep
+        // engine uses: "internal".
+        trace::BatchLane odd;
+        odd.label = "odd";
+        odd.predictor = []() -> bpu::ComposedPredictor { throw 42; };
+        be.addLane(std::move(odd));
+    }
     const auto outs = be.evaluate(sharedTrace(), 1'000);
-    ASSERT_EQ(outs.size(), 3u);
+    ASSERT_EQ(outs.size(), 4u);
     EXPECT_FALSE(outs[1].ok());
     EXPECT_EQ(outs[1].errorClass, "config");
     EXPECT_NE(outs[1].error.find("intentionally broken"),
@@ -375,6 +361,10 @@ TEST(BatchEval, FailedLaneDoesNotDisturbTheOthers)
     ASSERT_NE(outs[1].exception, nullptr);
     EXPECT_THROW(std::rethrow_exception(outs[1].exception),
                  guard::ConfigError);
+    EXPECT_FALSE(outs[3].ok());
+    EXPECT_EQ(outs[3].errorClass, "internal");
+    ASSERT_NE(outs[3].exception, nullptr);
+    EXPECT_THROW(std::rethrow_exception(outs[3].exception), int);
     ASSERT_TRUE(outs[0].ok());
     ASSERT_TRUE(outs[2].ok());
     expectSame(outs[0].result, serialResult(kinds[0].make, 1'000),
@@ -389,6 +379,8 @@ TEST(BatchEval, FailedLaneDoesNotDisturbTheOthers)
 
 TEST(BatchEval, SearchFrontierArtifactUnchangedByBatching)
 {
+    // jobs 1 runs every lane inline on the calling thread; jobs 4
+    // spreads them over the pool. The artifact must not notice.
     search::SearchConfig cfg;
     cfg.seed = 7;
     cfg.pool = 8;
@@ -404,18 +396,12 @@ TEST(BatchEval, SearchFrontierArtifactUnchangedByBatching)
     cfg.detailInsts = 60'000;
     cfg.detailWarmup = 10'000;
 
-    cfg.batchEval = false;
     cfg.jobs = 1;
-    const search::SearchResult serial = search::runSearch(cfg, cache());
-
-    cfg.batchEval = true;
-    const search::SearchResult batched = search::runSearch(cfg, cache());
+    const search::SearchResult inline1 = search::runSearch(cfg, cache());
 
     cfg.jobs = 4;
     const search::SearchResult wide = search::runSearch(cfg, cache());
 
-    EXPECT_EQ(search::frontierJson(serial),
-              search::frontierJson(batched));
-    EXPECT_EQ(search::frontierJson(serial), search::frontierJson(wide));
-    EXPECT_EQ(serial.frontier, batched.frontier);
+    EXPECT_EQ(search::frontierJson(inline1), search::frontierJson(wide));
+    EXPECT_EQ(inline1.frontier, wide.frontier);
 }

@@ -60,6 +60,14 @@ struct IndexModeCase
     const char* name;
 };
 
+// Print a case by its name. The default byte dump shows the struct's
+// padding and the address of the name literal, which change from run
+// to run and so would change the listed test names.
+void PrintTo(const IndexModeCase& c, std::ostream* os)
+{
+    *os << c.name;
+}
+
 class HbimModes : public ::testing::TestWithParam<IndexModeCase>
 {
 };

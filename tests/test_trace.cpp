@@ -12,13 +12,16 @@ TEST(Trace, RecordsArchitecturalBranchStream)
 {
     const prog::Program p = prog::buildWorkload(
         prog::WorkloadLibrary::profile("x264"));
-    const BranchTrace tr = recordTrace(p, 5000);
+    const DecodedTrace tr = recordTrace(p, 5000);
     ASSERT_EQ(tr.size(), 5000u);
-    for (const auto& r : tr.records) {
+    for (std::size_t i = 0; i < tr.size(); ++i) {
+        const TraceRecord r = tr.record(i);
+        EXPECT_EQ(r.type, RecordType::Cond);
         EXPECT_TRUE(p.contains(r.pc));
         EXPECT_LT(r.slot, 4u);
-        if (r.taken)
+        if (r.taken) {
             EXPECT_TRUE(p.contains(r.target));
+        }
     }
 }
 
@@ -26,13 +29,11 @@ TEST(Trace, RecordingIsDeterministic)
 {
     const prog::Program p = prog::buildWorkload(
         prog::WorkloadLibrary::profile("leela"));
-    const BranchTrace a = recordTrace(p, 2000);
-    const BranchTrace b = recordTrace(p, 2000);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a.records[i].pc, b.records[i].pc);
-        EXPECT_EQ(a.records[i].taken, b.records[i].taken);
-    }
+    const DecodedTrace a = recordTrace(p, 2000);
+    const DecodedTrace b = recordTrace(p, 2000);
+    EXPECT_EQ(a.pc, b.pc);
+    EXPECT_EQ(a.target, b.target);
+    EXPECT_EQ(a.rmeta, b.rmeta);
 }
 
 TEST(Trace, EvaluatorLearnsEasyTrace)
@@ -41,7 +42,7 @@ TEST(Trace, EvaluatorLearnsEasyTrace)
     // should reach high accuracy.
     const prog::Program p = prog::buildWorkload(
         prog::WorkloadLibrary::profile("x264"));
-    const BranchTrace tr = recordTrace(p, 40'000);
+    const DecodedTrace tr = recordTrace(p, 40'000);
     TraceDrivenEvaluator ev(
         bpu::ComposedPredictor(sim::buildTopology(sim::Design::TageL),
                                4),
@@ -55,7 +56,7 @@ TEST(Trace, EvaluatorRespectsWarmup)
 {
     const prog::Program p = prog::buildWorkload(
         prog::WorkloadLibrary::profile("xz"));
-    const BranchTrace tr = recordTrace(p, 10'000);
+    const DecodedTrace tr = recordTrace(p, 10'000);
     TraceDrivenEvaluator ev(
         bpu::ComposedPredictor(sim::buildTopology(sim::Design::B2), 4),
         16);
@@ -70,7 +71,7 @@ TEST(Trace, IdealizedEvaluationBeatsOrMatchesInCore)
     // as high as the speculating core achieves.
     const prog::Program p = prog::buildWorkload(
         prog::WorkloadLibrary::profile("deepsjeng"));
-    const BranchTrace tr = recordTrace(p, 30'000);
+    const DecodedTrace tr = recordTrace(p, 30'000);
     TraceDrivenEvaluator ev(
         bpu::ComposedPredictor(sim::buildTopology(sim::Design::TageL),
                                4),

@@ -5,7 +5,7 @@
  * designs and every frontend/backend option, checkpoints are
  * interchangeable between modes, warp runs from traces, construction
  * mismatches are structured ConfigErrors, the workload cache decodes
- * each trace exactly once, and lockstep sweeps group replay points.
+ * each trace exactly once, and parallel sweeps share one decoded trace.
  */
 
 #include <gtest/gtest.h>
@@ -285,10 +285,10 @@ TEST(TraceReplay, WorkloadCacheDecodesEachTraceOnce)
 }
 
 // ---------------------------------------------------------------------
-// Sweeps: replay points group in lockstep and stay bit-identical
+// Sweeps: replay points share one decoded trace and stay bit-identical
 // ---------------------------------------------------------------------
 
-TEST(TraceReplay, LockstepSweepOverSharedTraceIsBitIdentical)
+TEST(TraceReplay, ParallelSweepOverSharedTraceIsBitIdentical)
 {
     const prog::Program& p = cache().get("leela");
     const auto tr = leelaTrace();
@@ -300,11 +300,9 @@ TEST(TraceReplay, LockstepSweepOverSharedTraceIsBitIdentical)
         want.push_back(s.run());
     }
 
-    // Lockstep replay sweep: all three designs share one decode and
-    // advance in cadence (one replica group, same Program + seed +
-    // trace).
+    // Replay sweep at jobs 2: every point reads the same decoded
+    // trace through its own cursor, concurrently.
     sim::SweepEngine engine(2);
-    engine.setLockstep(true);
     for (sim::Design d : sim::paperDesigns()) {
         sim::SweepPoint pt;
         pt.label = sim::designName(d);
@@ -319,10 +317,7 @@ TEST(TraceReplay, LockstepSweepOverSharedTraceIsBitIdentical)
     for (std::size_t i = 0; i < outcomes.size(); ++i) {
         ASSERT_TRUE(outcomes[i].ok()) << outcomes[i].error;
         EXPECT_EQ(outcomes[i].result, want[i])
-            << outcomes[i].label << ": lockstep replay diverged";
-        EXPECT_GE(outcomes[i].replicaGroup, 2u)
-            << outcomes[i].label
-            << ": replay points sharing a trace should group";
+            << outcomes[i].label << ": parallel replay diverged";
     }
 }
 
@@ -336,7 +331,7 @@ TEST(TraceReplay, CaptureMatchesRecordTraceCondStream)
     // the same bare oracle: the conditional sub-stream of a capture
     // must equal the recordTrace stream record for record.
     const prog::Program& p = cache().get("x264");
-    const trace::BranchTrace ref = trace::recordTrace(p, 2000);
+    const trace::DecodedTrace ref = trace::recordTrace(p, 2000);
 
     const std::string path =
         scratchDir("cobra_replay_rec") + "/x264.cbtr";
@@ -344,28 +339,36 @@ TEST(TraceReplay, CaptureMatchesRecordTraceCondStream)
     const auto dec = trace::loadTrace(path);
 
     std::size_t i = 0;
-    for (std::size_t k = 0;
-         k < dec->size() && i < ref.records.size(); ++k) {
+    for (std::size_t k = 0; k < dec->size() && i < ref.size(); ++k) {
         if (dec->typeAt(k) != trace::RecordType::Cond)
             continue;
-        const trace::BranchRecord& w = ref.records[i];
-        EXPECT_EQ(dec->pc[k], w.pc) << "cond record " << i;
-        EXPECT_EQ(dec->takenAt(k), w.taken) << "cond record " << i;
-        EXPECT_EQ(dec->slotAt(k), w.slot) << "cond record " << i;
-        EXPECT_EQ(dec->target[k], w.target) << "cond record " << i;
+        EXPECT_EQ(dec->record(k), ref.record(i)) << "cond record " << i;
         ++i;
     }
-    EXPECT_EQ(i, ref.records.size())
+    EXPECT_EQ(i, ref.size())
         << "capture held fewer cond records than recordTrace";
+}
+
+TEST(TraceReplay, RecordedTraceIsNotAReplaySource)
+{
+    // recordTrace keeps conditional records only, so it cannot drive
+    // a full-core replay; its metadata says so up front.
+    const prog::Program& p = cache().get("x264");
+    const trace::DecodedTrace rec = trace::recordTrace(p, 500);
+    EXPECT_EQ(rec.meta.kind, trace::TraceKind::External);
+    EXPECT_EQ(rec.meta.sourceInsts, 0u);
+    EXPECT_EQ(rec.meta.condCount, rec.size());
+    EXPECT_THROW(trace::validateReplayMeta(rec.meta, p, 0xD15EA5E, 1000),
+                 guard::ConfigError);
 }
 
 TEST(TraceReplay, EvaluatorResultsMatchAcrossTraceRepresentations)
 {
-    // The same branch stream evaluated through the legacy BranchTrace
-    // and through a decoded binary trace must produce the same
-    // idealized result.
+    // The same branch stream evaluated in memory, straight from
+    // recordTrace, and after a round trip through the binary trace
+    // file must produce the same idealized result.
     const prog::Program& p = cache().get("xz");
-    const trace::BranchTrace ref = trace::recordTrace(p, 8000);
+    const trace::DecodedTrace ref = trace::recordTrace(p, 8000);
 
     const std::string path =
         scratchDir("cobra_replay_eval") + "/xz.cbtr";
@@ -375,15 +378,8 @@ TEST(TraceReplay, EvaluatorResultsMatchAcrossTraceRepresentations)
     meta.name = "xz-conds";
     {
         trace::TraceWriter w(path, meta);
-        for (const trace::BranchRecord& r : ref.records) {
-            trace::TraceRecord t;
-            t.pc = r.pc;
-            t.type = trace::RecordType::Cond;
-            t.taken = r.taken;
-            t.target = r.target;
-            t.slot = static_cast<std::uint8_t>(r.slot);
-            w.add(t);
-        }
+        for (std::size_t i = 0; i < ref.size(); ++i)
+            w.add(ref.record(i));
         w.finalize();
     }
     const auto dec = trace::loadTrace(path);

@@ -60,8 +60,6 @@ usage()
         "  --warmup N           tier-3 warmup (default 120000)\n"
         "  --ridge-lambda X     surrogate L2 penalty (default 1.0)\n"
         "  --jobs N             worker threads (all tiers)\n"
-        "  --no-batch-eval      serial per-candidate tier-0/1 evals\n"
-        "                       (reference path; same artifact)\n"
         "  --out PATH           write the frontier artifact JSON to\n"
         "                       PATH (default: stdout after the table)\n"
         "  --progress           per-tier progress on stderr\n"
@@ -176,8 +174,6 @@ main(int argc, char** argv)
                 cfg.ridgeLambda = parseDouble(a, next());
             else if (a == "--jobs")
                 cfg.jobs = static_cast<unsigned>(parseU64(a, next()));
-            else if (a == "--no-batch-eval")
-                cfg.batchEval = false;
             else if (a == "--out")
                 outPath = next();
             else if (a == "--progress")

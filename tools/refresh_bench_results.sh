@@ -18,6 +18,19 @@
 # mistake — the previous artifact survives untouched.
 set -euo pipefail
 
+# Committed records must come from each harness's default schedule:
+# a reduced (COBRA_FAST), re-counted (COBRA_THROUGHPUT_REPS) or
+# re-based (COBRA_BASELINE_JSON) run would silently become the
+# expectation the CI perf gates compare against. Refuse before any
+# harness runs.
+for var in COBRA_FAST COBRA_THROUGHPUT_REPS COBRA_BASELINE_JSON; do
+    if [ -n "${!var+set}" ]; then
+        echo "error: $var is set; committed records need the default" \
+             "harness settings (unset $var and rerun)" >&2
+        exit 2
+    fi
+done
+
 cd "$(dirname "$0")/.."
 BUILD="${1:-build}"
 
