@@ -78,17 +78,6 @@ class PredictorComponent
     virtual unsigned metaBits() const { return 0; }
 
     /**
-     * Stable type tag used by the specialization registry to match
-     * this component against a devirtualized call table (see
-     * bpu/specialize.hpp). The empty default marks the component as
-     * unspecializable, forcing the composed pipeline onto the generic
-     * virtual-dispatch path — which is exactly what the guard
-     * decorators (ContractAuditor, FaultInjector) rely on: they must
-     * observe every call, so they deliberately keep the default.
-     */
-    virtual const char* typeKey() const { return ""; }
-
-    /**
      * Host-side cache-warming hint: prefetch the table rows this
      * component would index for a query at @p ctx. Called by the BPU
      * at FTQ-insert time (Fetch-0), one fetch packet ahead of the

@@ -351,9 +351,6 @@ ComposedPredictor::specialize()
 {
     if (specialized_)
         return true;
-    const std::string key = topo_.specializedKey();
-    if (key.empty() || !spec::isRegisteredKey(key))
-        return false;
     SmallVector<const spec::CompOps*, 8> ops;
     for (const auto* c : components_) {
         const spec::CompOps* o = spec::opsFor(*c);

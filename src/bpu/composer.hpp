@@ -189,17 +189,17 @@ class ComposedPredictor
      */
     PredictionBundle evaluateStage(QueryState& q, unsigned d);
 
-    // ---- Specialized loops (ROADMAP item 4; bpu/specialize.hpp) ------
+    // ---- Specialized loops (bpu/specialize.hpp) ----------------------
 
     /**
-     * Try to bind the devirtualized fused loop: succeeds when the
-     * topology's specializedKey() names a registered tuple and every
-     * component resolves to a known call table. On success the
-     * evaluate/event hot paths run the flattened per-stage plan with
-     * direct calls; on failure (guard-wrapped or unknown components,
-     * unregistered tuple) the generic path stays bound. Bit-identical
-     * either way — the fused loop shares the generic algorithm code
-     * and only changes call dispatch. Idempotent.
+     * Try to bind the devirtualized fused loop: succeeds when every
+     * component is one of the library's final component types
+     * (spec::opsFor). On success the evaluate/event hot paths run the
+     * flattened per-stage plan with direct calls; otherwise
+     * (guard-wrapped or out-of-library components) the generic path
+     * stays bound. Bit-identical either way — the fused loop shares
+     * the generic algorithm code and only changes call dispatch.
+     * Idempotent.
      */
     bool specialize();
 

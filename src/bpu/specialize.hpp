@@ -1,33 +1,27 @@
 /**
  * @file
- * Specialized simulation loops (ROADMAP item 4): a compile-time
- * registry of devirtualized call tables for the library's concrete
- * component types, plus a registry of the composed tuples the paper's
- * designs use. When a topology's structural key (see
- * Topology::specializedKey) matches a registered tuple and every
- * component resolves to a known call table, the composer binds the
- * fused loop: predict/arbitrate and the four resolution events run
- * through direct (devirtualized) calls and a flattened per-stage
- * evaluation plan instead of virtual dispatch over a recursive tree
- * walk.
+ * Specialized simulation loops: devirtualized call tables for the
+ * library's concrete component types. When every component of a
+ * composed pipeline is one of the library's final classes, the
+ * composer binds the fused loop: predict/arbitrate and the four
+ * resolution events run through direct (devirtualized) calls and a
+ * flattened per-stage evaluation plan instead of virtual dispatch over
+ * a recursive tree walk.
  *
  * The fused loop shares the generic path's algorithm code — the thunks
  * below only change *how the call is dispatched*, never what it does —
  * so generic and specialized runs are bit-identical by construction
- * (enforced by tests/test_specialize.cpp and the CI
- * specialize-exactness leg).
+ * (enforced by tests/test_specialize.cpp).
  *
- * Guard decorators (ContractAuditor, FaultInjector) keep the empty
- * default typeKey(), so audited or fault-injected topologies always
- * fall back to the generic path where every virtual call is observed.
+ * Guard decorators (ContractAuditor, FaultInjector) are not library
+ * component types, so audited or fault-injected topologies always run
+ * the generic path where every virtual call is observed.
  */
 
 #ifndef COBRA_BPU_SPECIALIZE_HPP
 #define COBRA_BPU_SPECIALIZE_HPP
 
 #include <span>
-#include <string>
-#include <vector>
 
 #include "bpu/component.hpp"
 
@@ -88,25 +82,11 @@ opsOf()
 }
 
 /**
- * Resolve @p c's typeKey() against the library's component types.
- * Returns nullptr for unknown or empty keys (e.g. guard wrappers),
- * which forces the generic path.
+ * Match @p c's dynamic type against the library's final component
+ * types. Returns nullptr for any other type (guard wrappers,
+ * out-of-library components), which forces the generic path.
  */
 const CompOps* opsFor(const PredictorComponent& c);
-
-/**
- * True when @p key names a registered component tuple. The paper's
- * design tuples (Tournament, B2, TAGE-L/REF-BIG) are pre-registered;
- * new tuples are added with registerKey() (see docs/PERFORMANCE.md,
- * "Registering a new tuple").
- */
-bool isRegisteredKey(const std::string& key);
-
-/** Register a tuple key for specialization (idempotent, thread-safe). */
-void registerKey(const std::string& key);
-
-/** All registered tuple keys, sorted (for reports and tests). */
-std::vector<std::string> registeredKeys();
 
 } // namespace cobra::bpu::spec
 

@@ -188,67 +188,6 @@ Topology::describeNode(std::size_t idx) const
     return oss.str();
 }
 
-namespace {
-
-/** Render the specialization key for one node; "" poisons upward. */
-std::string
-specializedKeyNode(const Topology& topo, std::size_t idx)
-{
-    const Topology::Node& n = topo.node(idx);
-    std::string out;
-    switch (n.kind) {
-      case Topology::NodeKind::Leaf:
-        return n.comp->typeKey();
-      case Topology::NodeKind::Chain: {
-        bool first = true;
-        for (std::size_t c : n.children) {
-            const std::string k = specializedKeyNode(topo, c);
-            if (k.empty())
-                return "";
-            if (!first)
-                out += ">";
-            first = false;
-            // Nested chains cannot occur (chain() flattens singles and
-            // children are leaves/arbs), but parenthesize defensively.
-            if (topo.node(c).kind == Topology::NodeKind::Chain)
-                out += "(" + k + ")";
-            else
-                out += k;
-        }
-        return out;
-      }
-      case Topology::NodeKind::Arb: {
-        const std::string arb = n.comp->typeKey();
-        if (arb.empty())
-            return "";
-        out = arb + "[";
-        bool first = true;
-        for (std::size_t c : n.children) {
-            const std::string k = specializedKeyNode(topo, c);
-            if (k.empty())
-                return "";
-            if (!first)
-                out += ",";
-            first = false;
-            out += k;
-        }
-        out += "]";
-        return out;
-      }
-    }
-    return "";
-}
-
-} // namespace
-
-std::string
-Topology::specializedKey() const
-{
-    if (!root_.valid())
-        return "";
-    return specializedKeyNode(*this, root_.idx);
-}
-
 std::string
 Topology::describe() const
 {

@@ -112,16 +112,6 @@ class Topology
     std::string describe() const;
 
     /**
-     * Canonical structural key for the specialization registry (see
-     * bpu/specialize.hpp): the expression tree rendered over the
-     * components' typeKey() tags, e.g. "loop>tage>btb>bim>ubtb" or
-     * "tourney[bim>btb,bim]". Returns "" when any component reports an
-     * empty typeKey (guard-wrapped or out-of-library components) — an
-     * unspecializable topology that must run on the generic path.
-     */
-    std::string specializedKey() const;
-
-    /**
      * ASCII pipeline diagram: which components respond at each fetch
      * stage (regenerates the content of the paper's Figs. 4 and 7).
      */

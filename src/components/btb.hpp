@@ -51,8 +51,6 @@ class Btb final : public bpu::PredictorComponent
 
     void update(const bpu::ResolveEvent& ev) override;
 
-    const char* typeKey() const override { return "btb"; }
-
     void prefetch(const bpu::PredictContext& ctx) const override;
 
     void saveState(warp::StateWriter& w) const override;
@@ -163,8 +161,6 @@ class MicroBtb final : public bpu::PredictorComponent
                  bpu::Metadata& meta) override;
 
     void update(const bpu::ResolveEvent& ev) override;
-
-    const char* typeKey() const override { return "ubtb"; }
 
     void saveState(warp::StateWriter& w) const override;
     void restoreState(warp::StateReader& r) override;

@@ -49,8 +49,6 @@ class Gtag final : public bpu::PredictorComponent
 
     void update(const bpu::ResolveEvent& ev) override;
 
-    const char* typeKey() const override { return "gtag"; }
-
     void prefetch(const bpu::PredictContext& ctx) const override;
 
     void saveState(warp::StateWriter& w) const override;

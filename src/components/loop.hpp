@@ -60,8 +60,6 @@ class LoopPredictor final : public bpu::PredictorComponent
     /** Commit-time training of trip counts and confidence. */
     void update(const bpu::ResolveEvent& ev) override;
 
-    const char* typeKey() const override { return "loop"; }
-
     void saveState(warp::StateWriter& w) const override;
     void restoreState(warp::StateReader& r) override;
 

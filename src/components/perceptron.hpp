@@ -53,8 +53,6 @@ class Perceptron final : public bpu::PredictorComponent
 
     void update(const bpu::ResolveEvent& ev) override;
 
-    const char* typeKey() const override { return "perceptron"; }
-
     void saveState(warp::StateWriter& w) const override;
     void restoreState(warp::StateReader& r) override;
 

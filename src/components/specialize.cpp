@@ -1,19 +1,15 @@
 /**
  * @file
- * The specialization registry's concrete side: maps component
- * typeKey() tags to devirtualized call tables over the library's
- * final component classes, and pre-registers the composed tuples of
- * the paper's designs. Lives in components/ (not bpu/) because it is
- * the one place the composition layer is allowed to know every
- * concrete type.
+ * The specialized loop's concrete side: maps a component's dynamic
+ * type to the devirtualized call table of one of the library's final
+ * component classes. Lives in components/ (not bpu/) because it is the
+ * one place the composition layer is allowed to know every concrete
+ * type.
  */
 
 #include "bpu/specialize.hpp"
 
-#include <algorithm>
-#include <mutex>
-#include <set>
-#include <string_view>
+#include <typeinfo>
 
 #include "components/bim.hpp"
 #include "components/btb.hpp"
@@ -28,84 +24,32 @@
 
 namespace cobra::bpu::spec {
 
-const CompOps*
-opsFor(const PredictorComponent& c)
-{
-    const std::string_view k = c.typeKey();
-    if (k.empty())
-        return nullptr;
-    if (k == "bim")
-        return opsOf<comps::Hbim>();
-    if (k == "btb")
-        return opsOf<comps::Btb>();
-    if (k == "ubtb")
-        return opsOf<comps::MicroBtb>();
-    if (k == "gtag")
-        return opsOf<comps::Gtag>();
-    if (k == "tage")
-        return opsOf<comps::Tage>();
-    if (k == "loop")
-        return opsOf<comps::LoopPredictor>();
-    if (k == "tourney")
-        return opsOf<comps::Tourney>();
-    if (k == "ittage")
-        return opsOf<comps::Ittage>();
-    if (k == "perceptron")
-        return opsOf<comps::Perceptron>();
-    if (k == "scl")
-        return opsOf<comps::StatCorrector>();
-    if (k == "yags")
-        return opsOf<comps::Yags>();
-    return nullptr;
-}
-
 namespace {
 
-std::mutex&
-registryMutex()
+/** The call table of whichever of @p T, @p Rest is exactly @p t, or
+ *  nullptr. The library classes are final, so an exact typeid match
+ *  is the only way to be one of them. */
+template <typename T, typename... Rest>
+const CompOps*
+opsForType(const std::type_info& t)
 {
-    static std::mutex m;
-    return m;
-}
-
-std::set<std::string>&
-registry()
-{
-    // The paper's evaluated tuples (sim/presets.cpp): Tournament, B2,
-    // and the TAGE-L chain that REF-BIG shares.
-    static std::set<std::string> keys = {
-        "tourney[bim>btb,bim]",
-        "gtag>btb>bim",
-        "loop>tage>btb>bim>ubtb",
-    };
-    return keys;
+    if (t == typeid(T))
+        return opsOf<T>();
+    if constexpr (sizeof...(Rest) > 0)
+        return opsForType<Rest...>(t);
+    else
+        return nullptr;
 }
 
 } // namespace
 
-bool
-isRegisteredKey(const std::string& key)
+const CompOps*
+opsFor(const PredictorComponent& c)
 {
-    if (key.empty())
-        return false;
-    std::lock_guard<std::mutex> lock(registryMutex());
-    return registry().count(key) != 0;
-}
-
-void
-registerKey(const std::string& key)
-{
-    if (key.empty())
-        return;
-    std::lock_guard<std::mutex> lock(registryMutex());
-    registry().insert(key);
-}
-
-std::vector<std::string>
-registeredKeys()
-{
-    std::lock_guard<std::mutex> lock(registryMutex());
-    return {registry().begin(), registry().end()};
+    return opsForType<comps::Hbim, comps::Btb, comps::MicroBtb,
+                      comps::Gtag, comps::Tage, comps::LoopPredictor,
+                      comps::Tourney, comps::Ittage, comps::Perceptron,
+                      comps::StatCorrector, comps::Yags>(typeid(c));
 }
 
 } // namespace cobra::bpu::spec

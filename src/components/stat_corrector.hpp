@@ -50,8 +50,6 @@ class StatCorrector final : public bpu::PredictorComponent
 
     void update(const bpu::ResolveEvent& ev) override;
 
-    const char* typeKey() const override { return "scl"; }
-
     void saveState(warp::StateWriter& w) const override;
     void restoreState(warp::StateReader& r) override;
 

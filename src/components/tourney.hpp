@@ -59,8 +59,6 @@ class Tourney final : public bpu::PredictorComponent
 
     void update(const bpu::ResolveEvent& ev) override;
 
-    const char* typeKey() const override { return "tourney"; }
-
     void saveState(warp::StateWriter& w) const override;
     void restoreState(warp::StateReader& r) override;
 

@@ -50,8 +50,6 @@ class Yags final : public bpu::PredictorComponent
 
     void update(const bpu::ResolveEvent& ev) override;
 
-    const char* typeKey() const override { return "yags"; }
-
     void saveState(warp::StateWriter& w) const override;
     void restoreState(warp::StateReader& r) override;
 

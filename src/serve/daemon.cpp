@@ -519,8 +519,6 @@ Daemon::runDetailedRound(RequestState& rs,
         pt.cfg = rs.req.makeConfig(spec.design);
         if (!rs.req.tracePath.empty())
             pt.cfg.replayTrace = programs_.getTrace(rs.req.tracePath);
-        if (cfg_.noSpecialize)
-            pt.cfg.specialize = sim::SpecializeMode::Off;
         if (rs.req.pointTimeoutMs > 0) {
             // Cooperative wall-clock watchdog: drive the simulation
             // in bounded cycle slices and check the deadline between
@@ -585,8 +583,6 @@ Daemon::runWarpPoint(RequestState& rs, std::size_t idx,
         sim::SimConfig wcfg = req.makeConfig(spec.design);
         if (!req.tracePath.empty())
             wcfg.replayTrace = programs_.getTrace(req.tracePath);
-        if (cfg_.noSpecialize)
-            wcfg.specialize = sim::SpecializeMode::Off;
         est = warp::runWarp(
             programs_.get(spec.workload),
             [d = spec.design] { return sim::buildTopology(d); },

@@ -66,10 +66,6 @@ struct ServeConfig
     std::uint64_t pollMs = 200;
     /** advanceTo() slice used by the wall-clock watchdog (cycles). */
     std::uint64_t watchdogSliceCycles = 50'000;
-    /** Force the generic cycle loop on every point (--no-specialize /
-     *  COBRA_NO_SPECIALIZE); requests asking "require" still fail
-     *  admission. Results are bit-identical either way. */
-    bool noSpecialize = false;
     /** Drain the spool and exit instead of serving forever. */
     bool once = false;
     /** Log admissions/retirements to stderr. */

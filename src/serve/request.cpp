@@ -182,20 +182,6 @@ SweepRequest::parse(const std::string& text,
         r.faultSeed = doc.getU64("fault_seed", r.faultSeed);
         r.deadlockCycles =
             doc.getU64("deadlock_cycles", r.deadlockCycles);
-        {
-            const std::string sp =
-                doc.getString("specialize", "auto");
-            if (sp == "auto")
-                r.specialize = sim::SpecializeMode::Auto;
-            else if (sp == "off")
-                r.specialize = sim::SpecializeMode::Off;
-            else if (sp == "require")
-                r.specialize = sim::SpecializeMode::Require;
-            else
-                throw RequestError("'specialize' must be auto | off "
-                                   "| require, got '" +
-                                   sp + "'");
-        }
         r.pointTimeoutMs = doc.getU64("point_timeout_ms", 0);
         r.maxRetries =
             static_cast<unsigned>(doc.getU64("max_retries", 2));
@@ -289,22 +275,6 @@ SweepRequest::parse(const std::string& text,
     } catch (const guard::ConfigError& e) {
         throw RequestError(e.what());
     }
-    // "specialize": "require" is validated at admission, mirroring
-    // cobra_sim's exit-2 path: a request whose fused loop cannot bind
-    // (audit/fault guards active, or an unregistered tuple) is
-    // rejected up front instead of failing every point.
-    if (r.specialize == sim::SpecializeMode::Require) {
-        for (const sim::DesignSpec& d : r.designs) {
-            if (!sim::specializeAvailable(sim::buildTopology(d),
-                                          r.makeConfig(d)))
-                throw RequestError(
-                    "'specialize': 'require' cannot be honoured for "
-                    "design '" +
-                    d.name +
-                    "' (audit/fault injection active, or the "
-                    "component tuple is not registered)");
-        }
-    }
     return r;
 }
 
@@ -344,7 +314,6 @@ SweepRequest::makeConfig(const sim::DesignSpec& d) const
     cfg.audit = audit;
     cfg.faultRate = faultRate;
     cfg.faultSeed = faultSeed;
-    cfg.specialize = specialize;
     return cfg;
 }
 

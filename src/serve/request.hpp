@@ -85,14 +85,6 @@ struct SweepRequest
     double faultRate = 0.0;
     std::uint64_t faultSeed = 0x5EED;
     std::uint64_t deadlockCycles = 100'000;
-    /**
-     * "specialize" field: "auto" (default; fuse when possible), "off"
-     * (force the generic loop), or "require" (reject the request at
-     * admission when any of its designs cannot bind the fused loop —
-     * results are bit-identical either way, so "require" is a
-     * performance assertion, not a semantic switch).
-     */
-    sim::SpecializeMode specialize = sim::SpecializeMode::Auto;
 
     // ---- Robustness envelope ------------------------------------------
     /** Per-point wall-clock watchdog; 0 = no deadline. */

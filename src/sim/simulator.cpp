@@ -1,33 +1,9 @@
 #include "sim/simulator.hpp"
 
-#include "bpu/specialize.hpp"
 #include "sim/design_spec.hpp"
 #include "warp/state_io.hpp"
 
 namespace cobra::sim {
-
-const char*
-specializeModeName(SpecializeMode m)
-{
-    switch (m) {
-      case SpecializeMode::Auto: return "auto";
-      case SpecializeMode::Off: return "off";
-      case SpecializeMode::Require: return "require";
-    }
-    return "?";
-}
-
-bool
-specializeAvailable(const bpu::Topology& topo, const SimConfig& cfg)
-{
-    // Audit and fault injection wrap every component in a guard whose
-    // typeKey is empty, so the Simulator's composed predictor will
-    // refuse to fuse; mirror that here without building one.
-    if (cfg.audit || cfg.faultRate > 0.0)
-        return false;
-    const std::string key = topo.specializedKey();
-    return !key.empty() && bpu::spec::isRegisteredKey(key);
-}
 
 void
 OutputConfig::validate() const
@@ -111,21 +87,12 @@ Simulator::Simulator(const prog::Program& program, bpu::Topology topo,
     caches_ = std::make_unique<core::CacheHierarchy>(cfg.caches);
     bpu_ = std::make_unique<bpu::BranchPredictorUnit>(std::move(topo),
                                                       cfg.bpu);
-    // Bind the fused (devirtualized) simulation loop when requested
-    // and available. Guard wrappers installed above keep the generic
-    // path (they must observe every virtual call), as do topologies
-    // whose tuple is not registered. Bit-identical either way.
+    // Bind the fused (devirtualized) simulation loop unless the
+    // generic reference path was asked for. Guard wrappers installed
+    // above keep the generic path (they must observe every virtual
+    // call). Bit-identical either way.
     if (cfg_.specialize != SpecializeMode::Off)
         bpu_->predictor().specialize();
-    if (cfg_.specialize == SpecializeMode::Require &&
-        !bpu_->predictor().specialized()) {
-        throw guard::ConfigError(
-            "specialize",
-            "the fused loop is unavailable for this run (unregistered "
-            "component tuple, or audit/fault-injection wrappers are "
-            "active); drop the explicit specialize request or register "
-            "the tuple (see docs/PERFORMANCE.md)");
-    }
 
     frontend_ = std::make_unique<core::Frontend>(program, *oracle_, *bpu_,
                                                  *caches_, cfg.frontend);

@@ -186,31 +186,15 @@ struct OutputConfig
 };
 
 /**
- * Specialized-loop selection (ROADMAP item 4). The fused
- * (devirtualized) loop is bit-identical to the generic path; the mode
- * only controls whether binding is attempted and whether a failure to
- * bind is an error.
+ * Specialized-loop selection. The fused (devirtualized) loop is
+ * bit-identical to the generic path; Off exists so tests can run the
+ * generic reference walk.
  */
 enum class SpecializeMode : std::uint8_t
 {
-    Auto,    ///< Fuse when the topology matches a registered tuple.
-    Off,     ///< Always run the generic (virtual-dispatch) path.
-    Require, ///< Error (guard::ConfigError) if fusing is unavailable.
+    Auto, ///< Fuse unless a component is a guard or out-of-library type.
+    Off,  ///< Always run the generic (virtual-dispatch) path.
 };
-
-const char* specializeModeName(SpecializeMode m);
-
-/**
- * Would a Simulator built from @p topo and @p cfg bind the fused
- * specialized loop? Mirrors the construction-time decision: contract
- * audit and fault injection wrap components in guards (forcing the
- * generic loop), and the component tuple must render to a registered
- * key (bpu/specialize.hpp). CLIs use this to reject an explicit
- * specialize request up front as a usage error (exit 2) instead of
- * failing every sweep point at run time.
- */
-bool specializeAvailable(const bpu::Topology& topo,
-                         const struct SimConfig& cfg);
 
 /** Full simulation configuration. */
 struct SimConfig
@@ -225,7 +209,8 @@ struct SimConfig
     std::uint64_t maxCycles = 40'000'000;
     std::uint64_t oracleSeed = 0xD15EA5E;
 
-    /** Specialized-loop selection (cycle-exact either way). */
+    /** Specialized-loop selection (cycle-exact either way); only
+     *  tests set Off, to run the generic reference path. */
     SpecializeMode specialize = SpecializeMode::Auto;
 
     /**

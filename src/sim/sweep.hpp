@@ -103,7 +103,7 @@ struct SweepOutcome
     std::string errorClass;
     /**
      * Which simulation loop ran the point: "specialized" when the
-     * topology matched a registered fused loop, "generic" otherwise.
+     * fused loop bound, "generic" otherwise (Simulator::loopVariant).
      * Empty when the point failed before its Simulator was built.
      */
     std::string loop;

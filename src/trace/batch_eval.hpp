@@ -82,8 +82,9 @@ class BatchTraceEvaluator
      * Evaluate every queued lane over @p trace, skipping the first
      * @p warmup conditional records exactly like
      * TraceDrivenEvaluator::evaluate, and clear the lane set. Each
-     * lane binds its devirtualized loop when its tuple is registered
-     * (bpu/specialize.hpp); results are bit-identical either way.
+     * lane binds its devirtualized loop when every component is a
+     * library type (bpu/specialize.hpp); results are bit-identical
+     * either way.
      */
     std::vector<BatchLaneResult> evaluate(const DecodedTrace& trace,
                                           std::size_t warmup = 0);

@@ -71,8 +71,8 @@ class TraceDrivenEvaluator
                          unsigned lhist_bits = 32);
 
     /**
-     * Bind the devirtualized fused loop when the pipeline's tuple is
-     * registered (bpu/specialize.hpp); bit-identical either way.
+     * Bind the devirtualized fused loop when every component is a
+     * library type (bpu/specialize.hpp); bit-identical either way.
      */
     bool specialize() { return pred_.specialize(); }
     bool specialized() const { return pred_.specialized(); }

@@ -31,6 +31,7 @@
 #include "guard/errors.hpp"
 #include "program/workload.hpp"
 #include "search/driver.hpp"
+#include "search/space.hpp"
 #include "sim/presets.hpp"
 #include "trace/batch_eval.hpp"
 #include "trace/replay.hpp"
@@ -234,14 +235,20 @@ TEST(BatchEval, LaneCountsAndWarmupOffsetsMatchSerial)
 
 TEST(BatchEval, SpecializedLanesMatchGenericSerial)
 {
-    // Preset tuples are registered with the devirtualization
-    // registry, so their lanes must take the specialized loop — and
+    // Presets and search samples are built from library component
+    // types only, so every lane must take the specialized loop — and
     // still reproduce the generic serial walk exactly.
+    std::vector<sim::DesignSpec> specs;
+    for (sim::Design d : {sim::Design::Tourney, sim::Design::B2,
+                          sim::Design::TageL})
+        specs.push_back(sim::presetSpec(d));
+    search::SearchSpace space(1);
+    for (int i = 0; i < 12; ++i)
+        specs.push_back(space.sample());
+
     trace::BatchTraceEvaluator be(1);
     std::vector<std::function<bpu::ComposedPredictor()>> makes;
-    for (sim::Design d : {sim::Design::Tourney, sim::Design::B2,
-                          sim::Design::TageL}) {
-        const sim::DesignSpec spec = sim::presetSpec(d);
+    for (const sim::DesignSpec& spec : specs) {
         makes.push_back([spec] {
             return bpu::ComposedPredictor(sim::buildTopology(spec),
                                           spec.fetchWidth);
@@ -258,7 +265,10 @@ TEST(BatchEval, SpecializedLanesMatchGenericSerial)
     for (std::size_t i = 0; i < outs.size(); ++i) {
         ASSERT_TRUE(outs[i].ok()) << outs[i].error;
         EXPECT_EQ(outs[i].loop, "specialized");
-        expectSame(outs[i].result, serialResult(makes[i], 1'000),
+        expectSame(outs[i].result,
+                   serialResult(makes[i], 1'000,
+                                specs[i].bpu.ghistBits,
+                                specs[i].bpu.lhistBits),
                    outs[i].label);
     }
 }

@@ -43,9 +43,13 @@ allDesigns()
 
 /** Run one point and return (result, stats doc) for exact compares. */
 std::pair<sim::SimResult, std::string>
-runPoint(bpu::Topology topo, sim::SimConfig cfg, const std::string& wl)
+runPoint(bpu::Topology topo, sim::SimConfig cfg, const std::string& wl,
+         const char* expect_loop = nullptr)
 {
     sim::Simulator s(cache().get(wl), std::move(topo), cfg);
+    if (expect_loop != nullptr) {
+        EXPECT_STREQ(s.loopVariant(), expect_loop) << wl;
+    }
     const sim::SimResult r = s.run();
     return {r, sim::renderPointStats("p", s, r)};
 }
@@ -134,25 +138,22 @@ TEST(DesignSpec, SpecBuiltMatchesPresetBuiltAcrossVariants)
 
 TEST(DesignSpec, SpecBuiltDesignsStaySpecializable)
 {
-    // The fused-loop registry keys on the component tuple, so a
-    // spec-built paper design must bind the same specialized loop as
-    // the preset-built one — and produce identical results under it.
+    // The fused loop binds on the component types, so a spec-built
+    // paper design must bind the same specialized loop as the
+    // preset-built one — and produce identical results under it.
     for (sim::Design d : sim::paperDesigns()) {
         const sim::DesignSpec spec = sim::presetSpec(d);
         sim::SimConfig cfg = sim::makeConfig(spec);
         cfg.warmupInsts = 2000;
         cfg.maxInsts = 30'000;
-        cfg.specialize = sim::SpecializeMode::Require;
-        ASSERT_TRUE(
-            sim::specializeAvailable(sim::buildTopology(spec), cfg))
-            << sim::designName(d);
+        cfg.specialize = sim::SpecializeMode::Auto;
 
         sim::SimConfig off = cfg;
         off.specialize = sim::SpecializeMode::Off;
-        const auto [rr, sr] =
-            runPoint(sim::buildTopology(spec), cfg, "mcf");
+        const auto [rr, sr] = runPoint(sim::buildTopology(spec), cfg,
+                                       "mcf", "specialized");
         const auto [ro, so] =
-            runPoint(sim::buildTopology(spec), off, "mcf");
+            runPoint(sim::buildTopology(spec), off, "mcf", "generic");
         EXPECT_EQ(rr, ro) << sim::designName(d);
         EXPECT_EQ(sr, so) << sim::designName(d);
     }

@@ -236,12 +236,6 @@ TEST(ServeRequest, SemanticViolationsAreRejected)
         "{\"client\": \"c\", \"designs\": [\"b2\"], "
         "\"workloads\": [\"leela\"], "
         "\"warp\": {\"intervals\": 0}}", // bad warp block
-        "{\"client\": \"c\", \"designs\": [\"b2\"], "
-        "\"workloads\": [\"leela\"], "
-        "\"specialize\": \"maybe\"}", // unknown specialize mode
-        "{\"client\": \"c\", \"designs\": [\"b2\"], "
-        "\"workloads\": [\"leela\"], \"audit\": true, "
-        "\"specialize\": \"require\"}", // require vs forced-generic audit
         "not json at all",
     };
     for (const char* text : bad)
@@ -348,31 +342,6 @@ TEST(ServeRequest, SearchKindRejectsIncompatibleFields)
         EXPECT_THROW(serve::SweepRequest::parse(text, "f"),
                      serve::RequestError)
             << "accepted: " << text;
-}
-
-TEST(ServeRequest, SpecializeModeParsesAndValidatesAtAdmission)
-{
-    const serve::SweepRequest req = serve::SweepRequest::parse(
-        "{\"client\": \"c\", \"designs\": [\"b2\"], "
-        "\"workloads\": [\"leela\"], \"specialize\": \"require\"}",
-        "f");
-    EXPECT_EQ(req.specialize, sim::SpecializeMode::Require);
-    EXPECT_EQ(req.makeConfig(req.designs[0]).specialize,
-              sim::SpecializeMode::Require);
-
-    const serve::SweepRequest off = serve::SweepRequest::parse(
-        "{\"client\": \"c\", \"designs\": [\"refbig\"], "
-        "\"workloads\": [\"leela\"], \"specialize\": \"off\"}",
-        "f");
-    EXPECT_EQ(off.specialize, sim::SpecializeMode::Off);
-
-    // "auto" admits designs the fused loop cannot serve: it degrades
-    // silently at run time instead of failing admission.
-    const serve::SweepRequest aut = serve::SweepRequest::parse(
-        "{\"client\": \"c\", \"designs\": [\"refbig\"], "
-        "\"workloads\": [\"leela\"], \"specialize\": \"auto\"}",
-        "f");
-    EXPECT_EQ(aut.specialize, sim::SpecializeMode::Auto);
 }
 
 // ---------------------------------------------------------------------

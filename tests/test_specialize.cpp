@@ -3,21 +3,20 @@
  * Specialized-loop exactness tests: the fused (devirtualized, SoA,
  * prefetching) cycle loop must be a pure host-side optimisation.
  * Every test here compares SpecializeMode::Off (the generic
- * virtual-dispatch reference) against Auto/Require and demands
- * bit-identical SimResults and stats documents — across designs,
- * SFB/ghist variants, warp snapshots taken mid-run on one mode and
- * resumed on the other, and the guard-wrapped configurations that
- * must fall back to the generic loop.
+ * virtual-dispatch reference) against Auto and demands bit-identical
+ * SimResults and stats documents — across the presets and sampled
+ * search designs, SFB/ghist variants, warp snapshots taken mid-run on
+ * one loop and resumed on the other, and the guard-wrapped
+ * configurations that must fall back to the generic loop.
  */
 
 #include <string>
-#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "bpu/specialize.hpp"
-#include "guard/errors.hpp"
 #include "program/workload.hpp"
+#include "search/space.hpp"
+#include "sim/design_spec.hpp"
 #include "sim/presets.hpp"
 #include "sim/sweep.hpp"
 #include "warp/snapshot.hpp"
@@ -34,150 +33,127 @@ cache()
 }
 
 sim::SimConfig
-smallCfg(sim::Design d, sim::SpecializeMode mode)
+smallCfg(const sim::DesignSpec& spec, sim::SpecializeMode mode,
+         std::uint64_t insts = 40'000)
 {
-    sim::SimConfig cfg = sim::makeConfig(d);
+    sim::SimConfig cfg = sim::makeConfig(spec);
     cfg.warmupInsts = 2000;
-    cfg.maxInsts = 40'000;
+    cfg.maxInsts = insts;
     cfg.specialize = mode;
     return cfg;
 }
 
 /** Run one (design, workload) point and return result + stats doc. */
 std::pair<sim::SimResult, std::string>
-runOnce(sim::Design d, const std::string& wl, sim::SimConfig cfg,
-        const char* expect_loop = nullptr)
+runOnce(const sim::DesignSpec& spec, const std::string& wl,
+        const sim::SimConfig& cfg, const char* expect_loop = nullptr)
 {
-    sim::Simulator s(cache().get(wl), sim::buildTopology(d), cfg);
+    sim::Simulator s(cache().get(wl), sim::buildTopology(spec), cfg);
     if (expect_loop != nullptr) {
         EXPECT_STREQ(s.loopVariant(), expect_loop)
-            << sim::designName(d) << "/" << wl;
+            << spec.name << "/" << wl;
     }
     const sim::SimResult r = s.run();
     return {r, sim::renderPointStats("p", s, r)};
 }
 
+/** Off vs Auto on @p wl: Auto must fuse and match Off exactly. */
+void
+expectFusedMatchesGeneric(const sim::DesignSpec& spec,
+                          const std::string& wl, std::uint64_t insts)
+{
+    // Search samples all share one name; the topology tells them apart.
+    SCOPED_TRACE(sim::buildTopology(spec).describe());
+    const auto [rg, sg] = runOnce(
+        spec, wl, smallCfg(spec, sim::SpecializeMode::Off, insts),
+        "generic");
+    const auto [rs, ss] = runOnce(
+        spec, wl, smallCfg(spec, sim::SpecializeMode::Auto, insts),
+        "specialized");
+    EXPECT_EQ(rg, rs) << "specialized loop diverged from generic";
+    EXPECT_EQ(sg, ss) << "stats documents diverged";
+}
+
 } // namespace
 
-TEST(Specialize, EveryRegisteredDesignFusesAndMatchesGeneric)
+TEST(Specialize, EveryLibraryDesignFusesAndMatchesGeneric)
 {
-    for (sim::Design d : sim::paperDesigns()) {
-        const sim::SimConfig off =
-            smallCfg(d, sim::SpecializeMode::Off);
-        const sim::SimConfig req =
-            smallCfg(d, sim::SpecializeMode::Require);
-
-        // The three paper designs are pre-registered tuples; Require
-        // must bind, Off must not.
-        ASSERT_TRUE(
-            sim::specializeAvailable(sim::buildTopology(d), req))
-            << sim::designName(d);
-
-        const auto [rg, sg] = runOnce(d, "leela", off, "generic");
-        const auto [rs, ss] = runOnce(d, "leela", req, "specialized");
-        EXPECT_EQ(rg, rs)
-            << sim::designName(d)
-            << ": specialized loop diverged from generic";
-        EXPECT_EQ(sg, ss)
-            << sim::designName(d) << ": stats documents diverged";
-    }
+    // Every preset is built from library component types only.
+    for (sim::Design d : {sim::Design::Tourney, sim::Design::B2,
+                          sim::Design::TageL, sim::Design::RefBig})
+        expectFusedMatchesGeneric(sim::presetSpec(d), "leela", 40'000);
+    // Search samples compose the same types into shapes no preset
+    // has (e.g. an arbiter over a four-deep chain); they fuse too.
+    search::SearchSpace space(1);
+    for (int i = 0; i < 12; ++i)
+        expectFusedMatchesGeneric(space.sample(), "leela", 20'000);
 }
 
-TEST(Specialize, AutoModeMatchesAvailability)
-{
-    // Auto must bind exactly when specializeAvailable() says so, for
-    // every design including the unregistered ones.
-    const sim::Design all[] = {sim::Design::Tourney, sim::Design::B2,
-                               sim::Design::TageL, sim::Design::RefBig};
-    for (sim::Design d : all) {
-        sim::SimConfig cfg = smallCfg(d, sim::SpecializeMode::Auto);
-        cfg.maxInsts = 2000; // Availability only; keep it cheap.
-        const bool avail =
-            sim::specializeAvailable(sim::buildTopology(d), cfg);
-        sim::Simulator s(cache().get("dhrystone"),
-                         sim::buildTopology(d), cfg);
-        EXPECT_EQ(std::string(s.loopVariant()),
-                  avail ? "specialized" : "generic")
-            << sim::designName(d);
-    }
-}
+/** The CLI's paper designs, by the names cobra_sim accepts. */
+class SfbAndGhistVariants : public ::testing::TestWithParam<const char*>
+{};
 
-TEST(Specialize, SfbAndGhistVariantsStayBitIdentical)
+TEST_P(SfbAndGhistVariants, StayBitIdentical)
 {
+    const sim::DesignSpec spec = sim::presetSpec(GetParam());
     const bpu::GhistRepairMode modes[] = {
         bpu::GhistRepairMode::None, bpu::GhistRepairMode::RepairOnly,
         bpu::GhistRepairMode::RepairAndReplay};
-    for (bpu::GhistRepairMode gm : modes) {
-        for (bool sfb : {false, true}) {
-            sim::SimConfig off =
-                smallCfg(sim::Design::TageL, sim::SpecializeMode::Off);
-            off.frontend.ghistMode = gm;
-            off.backend.ghistMode = gm;
-            off.backend.sfbEnabled = sfb;
-            sim::SimConfig req = off;
-            req.specialize = sim::SpecializeMode::Require;
+    for (const char* wl : {"leela", "x264"}) {
+        for (bpu::GhistRepairMode gm : modes) {
+            for (bool sfb : {false, true}) {
+                sim::SimConfig off =
+                    smallCfg(spec, sim::SpecializeMode::Off);
+                off.frontend.ghistMode = gm;
+                off.backend.ghistMode = gm;
+                off.backend.sfbEnabled = sfb;
+                sim::SimConfig fused = off;
+                fused.specialize = sim::SpecializeMode::Auto;
 
-            const auto [rg, sg] =
-                runOnce(sim::Design::TageL, "x264", off, "generic");
-            const auto [rs, ss] = runOnce(sim::Design::TageL, "x264",
-                                          req, "specialized");
-            EXPECT_EQ(rg, rs) << "ghist="
-                              << bpu::ghistRepairModeName(gm)
-                              << " sfb=" << sfb;
-            EXPECT_EQ(sg, ss);
+                const auto [rg, sg] = runOnce(spec, wl, off, "generic");
+                const auto [rs, ss] =
+                    runOnce(spec, wl, fused, "specialized");
+                EXPECT_EQ(rg, rs)
+                    << wl << " ghist=" << bpu::ghistRepairModeName(gm)
+                    << " sfb=" << sfb;
+                EXPECT_EQ(sg, ss)
+                    << wl << " ghist=" << bpu::ghistRepairModeName(gm)
+                    << " sfb=" << sfb;
+            }
         }
     }
 }
 
+INSTANTIATE_TEST_SUITE_P(Specialize, SfbAndGhistVariants,
+                         ::testing::Values("tourney", "b2", "tagel"),
+                         [](const auto& info) {
+                             return std::string(info.param);
+                         });
+
 TEST(Specialize, AuditFallsBackToGenericAndRuns)
 {
-    sim::SimConfig cfg =
-        smallCfg(sim::Design::B2, sim::SpecializeMode::Auto);
+    const sim::DesignSpec spec = sim::presetSpec(sim::Design::B2);
+    sim::SimConfig cfg = smallCfg(spec, sim::SpecializeMode::Auto);
     cfg.audit = true;
-    EXPECT_FALSE(
-        sim::specializeAvailable(sim::buildTopology(sim::Design::B2),
-                                 cfg));
-    const auto [r, stats] =
-        runOnce(sim::Design::B2, "gcc", cfg, "generic");
+    const auto [r, stats] = runOnce(spec, "gcc", cfg, "generic");
     EXPECT_GT(r.auditChecks, 0u);
     EXPECT_FALSE(r.deadlocked);
 }
 
 TEST(Specialize, FaultInjectionFallsBackToGenericDeterministically)
 {
-    sim::SimConfig cfg =
-        smallCfg(sim::Design::Tourney, sim::SpecializeMode::Auto);
+    const sim::DesignSpec spec = sim::presetSpec(sim::Design::Tourney);
+    sim::SimConfig cfg = smallCfg(spec, sim::SpecializeMode::Auto);
     cfg.faultRate = 0.01;
-    const auto [a, sa] =
-        runOnce(sim::Design::Tourney, "mcf", cfg, "generic");
+    const auto [a, sa] = runOnce(spec, "mcf", cfg, "generic");
     // Auto silently degrades; an explicit Off must reproduce the
     // exact same faulted run (the fault RNG stream is config-keyed,
     // not loop-keyed).
     cfg.specialize = sim::SpecializeMode::Off;
-    const auto [b, sb] =
-        runOnce(sim::Design::Tourney, "mcf", cfg, "generic");
+    const auto [b, sb] = runOnce(spec, "mcf", cfg, "generic");
     EXPECT_GT(a.faultsInjected, 0u);
     EXPECT_EQ(a, b);
     EXPECT_EQ(sa, sb);
-}
-
-TEST(Specialize, RequireThrowsConfigErrorWhenGuardsAreActive)
-{
-    sim::SimConfig cfg =
-        smallCfg(sim::Design::TageL, sim::SpecializeMode::Require);
-    cfg.audit = true;
-    EXPECT_THROW(sim::Simulator(cache().get("leela"),
-                                sim::buildTopology(sim::Design::TageL),
-                                cfg),
-                 guard::ConfigError);
-
-    sim::SimConfig faulted =
-        smallCfg(sim::Design::TageL, sim::SpecializeMode::Require);
-    faulted.faultRate = 0.001;
-    EXPECT_THROW(sim::Simulator(cache().get("leela"),
-                                sim::buildTopology(sim::Design::TageL),
-                                faulted),
-                 guard::ConfigError);
 }
 
 TEST(Specialize, SnapshotsAreInterchangeableBetweenLoops)
@@ -189,54 +165,37 @@ TEST(Specialize, SnapshotsAreInterchangeableBetweenLoops)
     // format the generic loop uses).
     const prog::Program& p = cache().get("x264");
     for (sim::Design d : sim::paperDesigns()) {
-        const sim::SimConfig off = smallCfg(d, sim::SpecializeMode::Off);
-        const sim::SimConfig req =
-            smallCfg(d, sim::SpecializeMode::Require);
+        const sim::DesignSpec spec = sim::presetSpec(d);
+        const sim::SimConfig off =
+            smallCfg(spec, sim::SpecializeMode::Off);
+        const sim::SimConfig fused =
+            smallCfg(spec, sim::SpecializeMode::Auto);
 
-        sim::Simulator ref(p, sim::buildTopology(d), off);
+        sim::Simulator ref(p, sim::buildTopology(spec), off);
         const sim::SimResult want = ref.run();
         ASSERT_GT(want.cycles, 0u);
 
         // Capture mid-run on the generic loop, resume specialized.
-        sim::Simulator a(p, sim::buildTopology(d), off);
+        sim::Simulator a(p, sim::buildTopology(spec), off);
         ASSERT_TRUE(a.advanceTo(want.cycles / 2));
         const warp::Snapshot snapG = warp::captureSnapshot(a);
-        sim::Simulator b(p, sim::buildTopology(d), req);
+        sim::Simulator b(p, sim::buildTopology(spec), fused);
         ASSERT_STREQ(b.loopVariant(), "specialized");
         warp::restoreSnapshot(b, snapG);
         EXPECT_EQ(b.run(), want)
-            << sim::designName(d) << ": generic->specialized resume";
+            << spec.name << ": generic->specialized resume";
 
         // And the reverse: capture specialized, resume generic.
-        sim::Simulator c(p, sim::buildTopology(d), req);
+        sim::Simulator c(p, sim::buildTopology(spec), fused);
         ASSERT_TRUE(c.advanceTo(want.cycles / 3));
         const warp::Snapshot snapS = warp::captureSnapshot(c);
-        sim::Simulator e(p, sim::buildTopology(d), off);
+        sim::Simulator e(p, sim::buildTopology(spec), off);
         warp::restoreSnapshot(e, snapS);
         EXPECT_EQ(e.run(), want)
-            << sim::designName(d) << ": specialized->generic resume";
+            << spec.name << ": specialized->generic resume";
 
         // The capturing specialized simulator itself resumes exactly.
         EXPECT_EQ(c.run(), want)
-            << sim::designName(d) << ": capture perturbed the run";
+            << spec.name << ": capture perturbed the run";
     }
-}
-
-TEST(Specialize, RegistryRoundTrips)
-{
-    // The shipped designs' keys are pre-registered...
-    for (sim::Design d : sim::paperDesigns()) {
-        const std::string key =
-            sim::buildTopology(d).specializedKey();
-        ASSERT_FALSE(key.empty()) << sim::designName(d);
-        EXPECT_TRUE(bpu::spec::isRegisteredKey(key)) << key;
-    }
-    // ...and user registration is additive and idempotent.
-    const std::string fake = "bim>bim>bim";
-    EXPECT_FALSE(bpu::spec::isRegisteredKey(fake));
-    bpu::spec::registerKey(fake);
-    bpu::spec::registerKey(fake);
-    EXPECT_TRUE(bpu::spec::isRegisteredKey(fake));
-    const auto keys = bpu::spec::registeredKeys();
-    EXPECT_GE(keys.size(), 4u);
 }

@@ -13,8 +13,8 @@ reference container.
 The gate is additionally per design: each point's speedup is compared
 against the same point's ``speedup`` recorded in the committed report,
 with its own (wider, noise-tolerant) ``--point-threshold`` allowance.
-A specialized-loop regression on one topology therefore cannot hide
-behind wins on the others, even when the geomean still clears.
+A regression confined to one design's components therefore cannot
+hide behind wins on the others, even when the geomean still clears.
 
 Stdlib only; exit code 0 = pass, 1 = regression, 2 = bad input.
 

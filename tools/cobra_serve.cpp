@@ -13,7 +13,7 @@
  * Usage:
  *   cobra_serve --spool DIR [--jobs N] [--once] [--poll-ms N]
  *               [--max-queue N] [--max-points N] [--client-quota N]
- *               [--backoff-ms N] [--no-specialize] [--verbose]
+ *               [--backoff-ms N] [--verbose]
  *
  * Signals: SIGTERM/SIGINT start a graceful drain — in-flight points
  * finish, partial results flush, the journal checkpoints, and undone
@@ -23,7 +23,6 @@
 
 #include <atomic>
 #include <csignal>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -61,9 +60,6 @@ usage()
         "  --client-quota N   max queued points per client (default 128)\n"
         "  --backoff-ms N     transient-failure retry backoff base\n"
         "                     (default 50; doubles per attempt)\n"
-        "  --no-specialize    force the generic cycle loop on every\n"
-        "                     point (also: COBRA_NO_SPECIALIZE=1);\n"
-        "                     results are bit-identical either way\n"
         "  --verbose          log admissions/retirements to stderr\n";
 }
 
@@ -88,8 +84,6 @@ int
 main(int argc, char** argv)
 {
     cobra::serve::ServeConfig cfg;
-    if (std::getenv("COBRA_NO_SPECIALIZE") != nullptr)
-        cfg.noSpecialize = true;
     try {
         for (int i = 1; i < argc; ++i) {
             const std::string a = argv[i];
@@ -114,8 +108,6 @@ main(int argc, char** argv)
                 cfg.maxPointsPerClient = parseU64(a, next());
             else if (a == "--backoff-ms")
                 cfg.backoffBaseMs = parseU64(a, next());
-            else if (a == "--no-specialize")
-                cfg.noSpecialize = true;
             else if (a == "--verbose")
                 cfg.verbose = true;
             else if (a == "--help" || a == "-h") {

@@ -14,7 +14,6 @@
  *             [--warmup N] [--ghist none|repair|replay] [--sfb]
  *             [--serialize] [--audit] [--inject-faults RATE]
  *             [--fault-seed N] [--deadlock-cycles N] [--jobs N]
- *             [--specialize] [--no-specialize]
  *             [--warp] [--intervals N] [--warmup-cycles N]
  *             [--sample-insts N] [--checkpoint-dir PATH] [--progress]
  *             [--json PATH] [--stats-json PATH] [--trace-events PATH]
@@ -29,7 +28,6 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -38,6 +36,7 @@
 #include <vector>
 
 #include "common/table.hpp"
+#include "guard/errors.hpp"
 #include "program/workload.hpp"
 #include "sim/core_area.hpp"
 #include "sim/design_spec.hpp"
@@ -96,12 +95,6 @@ usage()
         "                       commit (default 100000)\n"
         "  --jobs N             worker threads for grid runs (default:\n"
         "                       COBRA_JOBS, else hardware concurrency)\n"
-        "  --specialize         require the fused (specialized) cycle\n"
-        "                       loop; exit 2 if it is unavailable for\n"
-        "                       the requested configuration\n"
-        "  --no-specialize      force the generic cycle loop (also:\n"
-        "                       COBRA_NO_SPECIALIZE=1); results are\n"
-        "                       bit-identical either way\n"
         "  --warp               time-parallel sampled simulation: cut\n"
         "                       the run into checkpointed intervals and\n"
         "                       estimate whole-run IPC/MPKI with error\n"
@@ -272,12 +265,6 @@ runMain(int argc, char** argv)
     double faultRate = 0.0;
     std::uint64_t faultSeed = 0x5EED;
     unsigned jobs = 0; // 0 = SweepEngine default (COBRA_JOBS / hw)
-    // COBRA_NO_SPECIALIZE is the environment-wide opt-out (useful for
-    // bisecting a whole test/bench invocation); explicit flags win.
-    sim::SpecializeMode specMode =
-        std::getenv("COBRA_NO_SPECIALIZE") != nullptr
-            ? sim::SpecializeMode::Off
-            : sim::SpecializeMode::Auto;
     bool warpMode = false;
     bool progress = false;
     warp::WarpConfig wcfg;
@@ -331,10 +318,6 @@ runMain(int argc, char** argv)
                 deadlockCycles = parseU64(a, next());
             else if (a == "--jobs")
                 jobs = static_cast<unsigned>(parseU64(a, next()));
-            else if (a == "--specialize")
-                specMode = sim::SpecializeMode::Require;
-            else if (a == "--no-specialize")
-                specMode = sim::SpecializeMode::Off;
             else if (a == "--warp")
                 warpMode = true;
             else if (a == "--intervals")
@@ -495,9 +478,6 @@ runMain(int argc, char** argv)
                 hdr << ", fault rate " << faultRate << " (seed 0x"
                     << std::hex << faultSeed << std::dec << ")";
             }
-            // Deliberately NOT echoed in the header: --specialize /
-            // --no-specialize must keep stdout byte-identical so the
-            // A/B debugging workflow can `cmp` the two runs.
             if (warpMode) {
                 hdr << "\nwarp:     " << wcfg.intervals
                     << " intervals, sample ";
@@ -520,26 +500,12 @@ runMain(int argc, char** argv)
             cfg.audit = audit;
             cfg.faultRate = faultRate;
             cfg.faultSeed = faultSeed;
-            cfg.specialize = specMode;
             cfg.output = out;
-            // Like --specialize, --replay-trace is NOT echoed in the
-            // header: a replay run's stdout must `cmp` equal to the
-            // execute-mode run it reproduces.
+            // --replay-trace is NOT echoed in the header: a replay
+            // run's stdout must `cmp` equal to the execute-mode run it
+            // reproduces.
             cfg.replayTrace = replayTrace;
             cfg.validate(/*strict=*/true);
-
-            // An explicit --specialize that cannot be honoured is a
-            // usage error (exit 2), caught before any point runs.
-            if (specMode == sim::SpecializeMode::Require &&
-                !sim::specializeAvailable(topo, cfg)) {
-                std::cerr << "error: --specialize: the fused loop is "
-                             "unavailable for design '"
-                          << design.name
-                          << "' (unregistered component tuple, or "
-                             "--audit/--inject-faults active)\n\n";
-                usage();
-                return 2;
-            }
 
             sim::SweepPoint pt;
             pt.label = design.name + "/" + program.name();
@@ -587,6 +553,7 @@ runMain(int argc, char** argv)
                 const warp::WarpEstimate est =
                     warp::runWarp(*pt.program, pt.topology, pt.cfg, w);
                 o.result = est.estimate;
+                o.loop = est.loop;
                 o.host.simCycles = est.detailedCycles;
                 o.host.simInsts = est.detailedInsts;
                 if (!out.statsJsonPath.empty()) {
@@ -595,8 +562,8 @@ runMain(int argc, char** argv)
                         warp::statsGroupsJson(est));
                 }
                 printWarpEstimate(est, sfb, faultRate, audit);
-            } catch (const std::exception& e) {
-                o.error = e.what();
+            } catch (...) {
+                guard::captureCurrentException(o.error, o.errorClass);
                 std::cerr << "error: " << o.error << "\n";
                 anyFail = true;
             }
