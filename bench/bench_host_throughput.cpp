@@ -7,9 +7,9 @@
  *     representative points, best-of-N, compared against the committed
  *     pre-optimisation baseline in
  *     bench_results/BASELINE_host_throughput.json. The hot-path work
- *     (ROB ring + status mirror, seq scoreboard, scan guards, cached
- *     stat counters, allocation-free predictor path) must hold a
- *     >= 2x geomean speedup over that baseline.
+ *     (ROB ring, wakeup-and-select scheduler, cached stat counters,
+ *     allocation-free predictor path) must hold a >= 2x geomean
+ *     speedup over that baseline.
  *
  *  2. Parallel sweep scaling: a 15-point grid at --jobs 4 vs --jobs 1.
  *     Requires real cores; SKIPped (not failed) on hosts with fewer

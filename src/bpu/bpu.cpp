@@ -27,10 +27,12 @@ BpuConfig::validate() const
     };
     require(fetchWidth >= 1 && fetchWidth <= kMaxFetchWidth,
             "bpu.fetchWidth", "must be in [1, 8]");
-    require(historyFileEntries >= 2, "bpu.historyFileEntries",
-            "must be >= 2 (one in-flight packet plus headroom)");
+    require(historyFileEntries >= 2 && historyFileEntries <= 4096,
+            "bpu.historyFileEntries",
+            "must be in [2, 4096] (one in-flight packet plus headroom)");
     require(ghistBits >= 1, "bpu.ghistBits", "must be >= 1");
-    require(lhistSets >= 1, "bpu.lhistSets", "must be >= 1");
+    require(lhistSets >= 1 && lhistSets <= 65536, "bpu.lhistSets",
+            "must be in [1, 65536]");
     require(lhistBits >= 1 && lhistBits <= 64, "bpu.lhistBits",
             "must be in [1, 64]");
     require(phistBits >= 1 && phistBits <= 64, "bpu.phistBits",

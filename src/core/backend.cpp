@@ -1,8 +1,10 @@
 #include "core/backend.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <limits>
+#include <string>
 
 #include "warp/state_io.hpp"
 
@@ -12,11 +14,46 @@ using prog::OpClass;
 
 namespace {
 
-/** Sentinels for the scheduler scan accelerators. */
+/** No issued entry is waiting to complete. */
 constexpr Cycle kNeverDone = std::numeric_limits<Cycle>::max();
-constexpr std::uint64_t kNoRobId = std::numeric_limits<std::uint64_t>::max();
+
+void
+setBit(std::vector<std::uint64_t>& m, std::size_t slot)
+{
+    m[slot >> 6] |= std::uint64_t{1} << (slot & 63);
+}
+
+void
+clearBit(std::vector<std::uint64_t>& m, std::size_t slot)
+{
+    m[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
+}
 
 } // namespace
+
+template <typename F>
+void
+Backend::forEachOldestFirst(const SlotMask& m, F&& f) const
+{
+    const std::size_t words = m.size();
+    const std::size_t headWord = robHeadIdx_ >> 6;
+    const std::uint64_t fromHead = ~std::uint64_t{0} << (robHeadIdx_ & 63);
+    for (std::size_t k = 0; k <= words; ++k) {
+        const std::size_t w = (headWord + k) & (words - 1);
+        std::uint64_t bits = m[w];
+        if (k == 0)
+            bits &= fromHead;
+        else if (k == words)
+            bits &= ~fromHead; // The head word's wrapped, youngest part.
+        while (bits != 0) {
+            const std::size_t slot =
+                (w << 6) | static_cast<std::size_t>(std::countr_zero(bits));
+            bits &= bits - 1;
+            if (!f(slot))
+                return;
+        }
+    }
+}
 
 Backend::Backend(exec::Oracle& oracle, bpu::BranchPredictorUnit& bpu,
                  Frontend& frontend, CacheHierarchy& caches,
@@ -37,8 +74,13 @@ Backend::Backend(exec::Oracle& oracle, bpu::BranchPredictorUnit& bpu,
     while (robCap < static_cast<std::size_t>(cfg_.robEntries))
         robCap <<= 1;
     robBuf_.resize(robCap);
-    robStatus_.assign(robCap, 0);
     robMask_ = robCap - 1;
+
+    sched_.resize(robCap);
+    const std::size_t words = (robCap + 63) / 64;
+    for (SlotMask& m : ready_)
+        m.assign(words, 0);
+    issuedSlots_.assign(words, 0);
 }
 
 Backend::RobHeadView
@@ -98,28 +140,57 @@ Backend::execLatency(const exec::DynInst& di)
     }
 }
 
-bool
-Backend::depsReady(const RobEntry& e) const
+void
+Backend::linkSources(std::size_t slot, std::size_t guardSlot)
 {
-    const auto ready = [&](SeqNum dep) {
-        return dep == kInvalidSeq || seqReady(dep);
+    SlotSched& c = sched_[slot];
+    const RobEntry& e = robBuf_[slot];
+    c.robId = e.robId;
+    c.iq = e.iq;
+    c.pending = 0;
+    c.consumers.clear();
+    const auto waitOn = [&](std::size_t producer) {
+        ++c.pending;
+        sched_[producer].consumers.push_back(
+            WakeLink{static_cast<std::uint32_t>(slot), c.robId});
     };
-    if (!ready(e.fi.di.dep1) || !ready(e.fi.di.dep2))
-        return false;
+    // A dep is unready while its producer is in flight and not done;
+    // one that has left flight (committed) is ready for good.
+    for (const SeqNum dep : {e.fi.di.dep1, e.fi.di.dep2}) {
+        if (dep == kInvalidSeq)
+            continue;
+        const SeqSlot& s = seqTable_[dep & seqMask_];
+        if (s.seq == dep && s.done == 0)
+            waitOn(s.robSlot);
+    }
     if (e.sfbShadow) {
         // Predicated shadow reads the SFB guard's predicate bit.
-        auto it = sfbGuardDone_.find(e.sfbGuard);
+        const auto it = sfbGuardDone_.find(e.sfbGuard);
         if (it != sfbGuardDone_.end() && !it->second)
-            return false;
+            waitOn(guardSlot);
     }
-    return true;
+}
+
+void
+Backend::wakeConsumers(std::size_t producer)
+{
+    for (const WakeLink& l : sched_[producer].consumers) {
+        SlotSched& c = sched_[l.slot];
+        if (c.robId != l.robId)
+            continue; // Squashed since it linked.
+        // An entry past the armed prefix is picked up by issue's
+        // arming walk instead.
+        if (--c.pending == 0 && positionOf(l.slot) < armed_)
+            setBit(ready_[static_cast<unsigned>(c.iq)], l.slot);
+    }
 }
 
 void
 Backend::squashYoungerThan(std::size_t idx)
 {
     while (robCount_ > idx + 1) {
-        RobEntry& e = robAt(robCount_ - 1);
+        const std::size_t slot = (robHeadIdx_ + robCount_ - 1) & robMask_;
+        RobEntry& e = robBuf_[slot];
         if (e.st == RobEntry::St::Waiting)
             --iqCount_[static_cast<unsigned>(e.iq)];
         else if (e.st == RobEntry::St::Issued)
@@ -132,8 +203,12 @@ Backend::squashYoungerThan(std::size_t idx)
             seqErase(e.fi.di.seq);
         if (e.sfbConverted)
             sfbGuardDone_.erase(e.fi.dynId);
+        clearBit(ready_[static_cast<unsigned>(e.iq)], slot);
+        clearBit(issuedSlots_, slot);
+        sched_[slot].robId = kNoRobId;
         robPopBack();
     }
+    armed_ = std::min(armed_, robCount_);
     // Any in-dispatch SFB region referred to killed instructions.
     sfbActive_ = false;
 }
@@ -239,30 +314,30 @@ void
 Backend::completeAndResolve(Cycle now)
 {
     // Nothing in flight can finish before nextDoneCycle_ (a lower
-    // bound, exact after an uninterrupted scan) — skip the ROB walk.
+    // bound, exact after an uninterrupted walk) — skip the walk.
     if (issuedCount_ == 0 || now < nextDoneCycle_)
         return;
     Cycle nextDone = kNeverDone;
-    for (std::size_t i = 0; i < robCount_; ++i) {
-        if (statusAt(i) !=
-            static_cast<std::uint8_t>(RobEntry::St::Issued))
-            continue;
-        RobEntry& e = robAt(i);
+    // Oldest first: branches resolve (and train the BPU) in age order.
+    forEachOldestFirst(issuedSlots_, [&](std::size_t slot) {
+        RobEntry& e = robBuf_[slot];
         if (e.doneCycle > now) {
-            if (e.doneCycle < nextDone)
-                nextDone = e.doneCycle;
-            continue;
+            nextDone = std::min(nextDone, e.doneCycle);
+            return true;
         }
         e.st = RobEntry::St::Done;
-        statusAt(i) = static_cast<std::uint8_t>(RobEntry::St::Done);
+        clearBit(issuedSlots_, slot);
         --issuedCount_;
-        if (e.fi.di.seq != kInvalidSeq)
-            seqInsert(e.fi.di.seq, 1);
-        if (prog::isControlFlow(e.fi.di.si->op)) {
-            if (resolveCf(i, now))
-                break; // Everything younger is gone (already scanned).
+        if (e.fi.di.seq != kInvalidSeq) {
+            SeqSlot& s = seqTable_[e.fi.di.seq & seqMask_];
+            assert(s.seq == e.fi.di.seq);
+            s.done = 1;
         }
-    }
+        wakeConsumers(slot);
+        // A squash removes everything younger, unvisited.
+        return !(prog::isControlFlow(e.fi.di.si->op) &&
+                 resolveCf(positionOf(slot), now));
+    });
     nextDoneCycle_ = nextDone;
 }
 
@@ -271,57 +346,37 @@ Backend::issue(Cycle now)
 {
     if (iqCount_[0] + iqCount_[1] + iqCount_[2] == 0)
         return;
-    unsigned ports[3] = {cfg_.aluPorts, cfg_.memPorts, cfg_.fpPorts};
-    // Everything older than firstWaitingId_ has left Waiting for good
-    // (squashes only remove from the back), so resume the scan there.
-    // robIds are strictly increasing but NOT dense (squash gaps), so
-    // locate the resume point by binary search, not subtraction.
-    std::size_t i = 0;
-    {
-        std::size_t hi = robCount_;
-        while (i < hi) {
-            const std::size_t mid = i + (hi - i) / 2;
-            if (robAt(mid).robId < firstWaitingId_)
-                i = mid + 1;
-            else
-                hi = mid;
-        }
-    }
-    std::uint64_t newFirst = kNoRobId;
-    unsigned portsLeft = ports[0] + ports[1] + ports[2];
-    for (; i < robCount_; ++i) {
-        if (portsLeft == 0) {
-            if (newFirst == kNoRobId)
-                newFirst = robAt(i).robId; // Unscanned tail may wait.
+    // Arm the entries whose decode delay has now passed.
+    while (armed_ < robCount_) {
+        const std::size_t slot = (robHeadIdx_ + armed_) & robMask_;
+        const RobEntry& e = robBuf_[slot];
+        if (e.earliestIssue > now)
             break;
-        }
-        if (statusAt(i) !=
-            static_cast<std::uint8_t>(RobEntry::St::Waiting))
-            continue;
-        RobEntry& e = robAt(i);
-        if (now < e.earliestIssue || !depsReady(e)) {
-            if (newFirst == kNoRobId)
-                newFirst = e.robId;
-            continue;
-        }
-        unsigned& port = ports[static_cast<unsigned>(e.iq)];
-        if (port == 0) {
-            if (newFirst == kNoRobId)
-                newFirst = e.robId;
-            continue;
-        }
-        --port;
-        --portsLeft;
-        e.st = RobEntry::St::Issued;
-        statusAt(i) = static_cast<std::uint8_t>(RobEntry::St::Issued);
-        e.doneCycle = now + execLatency(e.fi.di);
-        ++issuedCount_;
-        if (e.doneCycle < nextDoneCycle_)
-            nextDoneCycle_ = e.doneCycle;
-        --iqCount_[static_cast<unsigned>(e.iq)];
-        ++issued_;
+        if (e.st == RobEntry::St::Waiting && sched_[slot].pending == 0)
+            setBit(ready_[static_cast<unsigned>(e.iq)], slot);
+        ++armed_;
     }
-    firstWaitingId_ = newFirst == kNoRobId ? robIdNext_ : newFirst;
+    // Select: the oldest ready entries of each class, up to its port
+    // count. Only loads and stores touch the caches, and they issue
+    // oldest first, as a scan of the whole ROB would.
+    const unsigned ports[3] = {cfg_.aluPorts, cfg_.memPorts, cfg_.fpPorts};
+    for (unsigned c = 0; c < 3; ++c) {
+        unsigned left = ports[c];
+        if (left == 0)
+            continue;
+        forEachOldestFirst(ready_[c], [&](std::size_t slot) {
+            RobEntry& e = robBuf_[slot];
+            clearBit(ready_[c], slot);
+            setBit(issuedSlots_, slot);
+            e.st = RobEntry::St::Issued;
+            e.doneCycle = now + execLatency(e.fi.di);
+            ++issuedCount_;
+            nextDoneCycle_ = std::min(nextDoneCycle_, e.doneCycle);
+            --iqCount_[c];
+            ++issued_;
+            return --left != 0;
+        });
+    }
 }
 
 void
@@ -371,6 +426,8 @@ Backend::commit(Cycle now)
         if (e.sfbConverted)
             sfbGuardDone_.erase(e.fi.dynId);
         robPopFront();
+        if (armed_ != 0)
+            --armed_;
         ++n;
     }
     committed_ += n;
@@ -410,7 +467,9 @@ Backend::dispatch(Cycle now)
             break;
         }
 
-        RobEntry e;
+        const std::size_t slot = (robHeadIdx_ + robCount_) & robMask_;
+        RobEntry& e = robBuf_[slot];
+        e = RobEntry{};
         e.fi = fi;
         e.iq = iq;
         e.earliestIssue = now + cfg_.decodeDelay;
@@ -436,19 +495,21 @@ Backend::dispatch(Cycle now)
             e.sfbConverted = true;
             sfbActive_ = true;
             sfbActiveGuard_ = e.fi.dynId;
+            sfbActiveGuardSlot_ = slot;
             sfbActiveTarget_ = e.fi.di.si->target;
             sfbGuardDone_[e.fi.dynId] = false;
             ++sfbConversions_;
         }
 
+        linkSources(slot, sfbActiveGuardSlot_);
         if (e.fi.di.seq != kInvalidSeq)
-            seqInsert(e.fi.di.seq, 0);
+            seqInsert(e.fi.di.seq, slot);
         if (op == OpClass::Load)
             ++ldqCount_;
         if (op == OpClass::Store)
             ++stqCount_;
         ++iqCount_[static_cast<unsigned>(iq)];
-        robPushBack(std::move(e));
+        ++robCount_;
         ++n;
     }
     dispatched_ += n;
@@ -509,7 +570,10 @@ Backend::saveState(warp::StateWriter& w) const
     w.u32(issuedCount_);
     w.u64(nextDoneCycle_);
     w.u64(robIdNext_);
-    w.u64(firstWaitingId_);
+    // The layout keeps the oldest-Waiting watermark's slot; the head's
+    // robId is a valid watermark for readers that still resume a scan
+    // from it.
+    w.u64(robCount_ != 0 ? robAt(0).robId : robIdNext_);
     for (unsigned c : iqCount_)
         w.u32(c);
     w.u32(ldqCount_);
@@ -531,14 +595,14 @@ void
 Backend::restoreState(warp::StateReader& r)
 {
     const std::uint64_t nRob = r.u64();
-    if (nRob > robBuf_.size())
-        r.fail("ROB occupancy exceeds this configuration");
+    if (nRob > cfg_.robEntries)
+        r.fail("ROB occupancy " + std::to_string(nRob) +
+               " exceeds this configuration's " +
+               std::to_string(cfg_.robEntries) + " entries");
     robHeadIdx_ = 0;
     robCount_ = static_cast<std::size_t>(nRob);
-    for (std::size_t i = 0; i < robBuf_.size(); ++i) {
-        robBuf_[i] = RobEntry{};
-        robStatus_[i] = static_cast<std::uint8_t>(RobEntry::St::Waiting);
-    }
+    for (RobEntry& e : robBuf_)
+        e = RobEntry{};
     for (std::size_t i = 0; i < robCount_; ++i) {
         RobEntry& e = robBuf_[i];
         loadFetchedInst(r, e.fi, oracle_.program());
@@ -557,7 +621,9 @@ Backend::restoreState(warp::StateReader& r)
         e.sfbShadow = r.boolean();
         e.sfbGuard = r.u64();
         e.robId = r.u64();
-        robStatus_[i] = st;
+        // Wakeup links name their consumers by robId.
+        if (i != 0 && e.robId <= robBuf_[i - 1].robId)
+            r.fail("ROB robIds do not strictly increase");
     }
 
     for (SeqSlot& s : seqTable_)
@@ -583,7 +649,9 @@ Backend::restoreState(warp::StateReader& r)
     issuedCount_ = r.u32();
     nextDoneCycle_ = r.u64();
     robIdNext_ = r.u64();
-    firstWaitingId_ = r.u64();
+    if (robCount_ != 0 && robIdNext_ <= robBuf_[robCount_ - 1].robId)
+        r.fail("next robId does not follow the youngest entry's");
+    (void)r.u64(); // Watermark slot; rebuildSched derives the state.
     for (unsigned& c : iqCount_)
         c = r.u32();
     ldqCount_ = r.u32();
@@ -599,6 +667,51 @@ Backend::restoreState(warp::StateReader& r)
     condMispredicts_ = r.u64();
     jalrMispredicts_ = r.u64();
     sfbConversions_ = r.u64();
+
+    rebuildSched(r);
+}
+
+void
+Backend::rebuildSched(warp::StateReader& r)
+{
+    for (SlotMask& m : ready_)
+        std::fill(m.begin(), m.end(), 0);
+    std::fill(issuedSlots_.begin(), issuedSlots_.end(), 0);
+    // Nothing is armed yet: the next issue arms the prefix whose
+    // decode delay has passed, readying entries with nothing to await.
+    armed_ = 0;
+
+    // robHeadIdx_ is 0, so an entry's slot is its position.
+    std::unordered_map<std::uint64_t, std::size_t> guardSlot;
+    for (std::size_t i = 0; i < robCount_; ++i) {
+        const RobEntry& e = robBuf_[i];
+        if (e.st == RobEntry::St::Issued)
+            setBit(issuedSlots_, i);
+        if (e.sfbConverted)
+            guardSlot[e.fi.dynId] = i;
+        if (e.fi.di.seq != kInvalidSeq) {
+            SeqSlot& q = seqTable_[e.fi.di.seq & seqMask_];
+            if (q.seq != e.fi.di.seq)
+                r.fail("ROB entry's seq is not on the scoreboard");
+            q.robSlot = static_cast<std::uint32_t>(i);
+        }
+    }
+    // Links must name in-flight producers.
+    for (const SeqSlot& q : seqTable_)
+        if (q.seq != kInvalidSeq && q.robSlot == kNoSlot)
+            r.fail("seq scoreboard names an entry not in flight");
+    for (const auto& kv : sfbGuardDone_)
+        if (guardSlot.count(kv.first) == 0)
+            r.fail("SFB guard map names a branch not in flight");
+    if (sfbActive_ && guardSlot.count(sfbActiveGuard_) != 0)
+        sfbActiveGuardSlot_ = guardSlot.at(sfbActiveGuard_);
+
+    // Oldest first, as at dispatch: a producer's list is reset before
+    // its consumers append to it. Entries past Waiting await nothing.
+    for (std::size_t i = 0; i < robCount_; ++i) {
+        const auto g = guardSlot.find(robBuf_[i].sfbGuard);
+        linkSources(i, g != guardSlot.end() ? g->second : 0);
+    }
 }
 
 } // namespace cobra::core

@@ -11,7 +11,7 @@
 #define COBRA_CORE_BACKEND_HPP
 
 #include <cassert>
-#include <deque>
+#include <limits>
 #include <unordered_map>
 #include <vector>
 
@@ -103,7 +103,8 @@ class Backend
      * Checkpoint the full execution-engine state: the ROB ring (every
      * in-flight instruction with its scheduling state), the seq
      * scoreboard, SFB predication state, and the commit counters.
-     * Registered stat handles ride the stat registry.
+     * Registered stat handles ride the stat registry. The wakeup and
+     * select state derives from these, so restore rebuilds it.
      */
     void saveState(warp::StateWriter& w) const;
     void restoreState(warp::StateReader& r);
@@ -123,30 +124,34 @@ class Backend
         bool sfbConverted = false; ///< Branch turned into set-flag.
         bool sfbShadow = false;    ///< Predicated shadow instruction.
         std::uint64_t sfbGuard = 0; ///< dynId of the guarding branch.
-        /** Monotone dispatch id (stable across deque front pops). */
+        /** Monotone dispatch id; wakeup links name consumers by it. */
         std::uint64_t robId = 0;
     };
 
+    static constexpr std::uint64_t kNoRobId =
+        std::numeric_limits<std::uint64_t>::max();
+    static constexpr std::uint32_t kNoSlot =
+        std::numeric_limits<std::uint32_t>::max();
+
     /**
-     * Direct-mapped scoreboard of in-flight oracle seq numbers,
-     * replacing an unordered_map on the issue critical path. Live
+     * Direct-mapped scoreboard of in-flight oracle seq numbers. Live
      * seqs span at most robEntries consecutive values, so a
      * power-of-two table of >= 2x that can never alias two live
-     * entries.
+     * entries. robSlot locates the producer's wakeup list.
      */
     struct SeqSlot
     {
         SeqNum seq = kInvalidSeq;
         std::uint8_t done = 0;
+        std::uint32_t robSlot = kNoSlot;
     };
 
     void
-    seqInsert(SeqNum seq, std::uint8_t done)
+    seqInsert(SeqNum seq, std::size_t slot)
     {
         SeqSlot& s = seqTable_[seq & seqMask_];
         assert(s.seq == kInvalidSeq || s.seq == seq);
-        s.seq = seq;
-        s.done = done;
+        s = SeqSlot{seq, 0, static_cast<std::uint32_t>(slot)};
     }
 
     void
@@ -157,13 +162,58 @@ class Backend
             s.seq = kInvalidSeq;
     }
 
-    /** True when @p dep has left flight or produced its result. */
-    bool
-    seqReady(SeqNum dep) const
+    // ---- Wakeup and select ---------------------------------------------
+    // Derived from the ROB, the seq scoreboard and the guard map, so
+    // restore rebuilds it. Select is oldest first per IQ class: it
+    // issues what an age-ordered scan of the Waiting entries would, and
+    // loads and stores reach the caches in that same order.
+
+    /** A consumer waiting on this slot's result (stale once its slot
+     *  no longer holds robId). */
+    struct WakeLink
     {
-        const SeqSlot& s = seqTable_[dep & seqMask_];
-        return s.seq != dep || s.done != 0;
+        std::uint32_t slot;
+        std::uint64_t robId;
+    };
+
+    /** Per-ROB-slot wakeup state, apart from the fat RobEntry so a
+     *  wakeup touches one small record. */
+    struct SlotSched
+    {
+        std::uint64_t robId = kNoRobId; ///< Owner; kNoRobId when dead.
+        std::uint8_t pending = 0; ///< Unready deps + unresolved guard.
+        IqClass iq = IqClass::Int;
+        std::vector<WakeLink> consumers; ///< Keeps its capacity.
+    };
+
+    /** One bit per ROB ring slot. */
+    using SlotMask = std::vector<std::uint64_t>;
+
+    /**
+     * Visit the set bits of @p m oldest first, from the ROB head
+     * around the ring, until @p f returns false. Bits are read a word
+     * at a time, so @p f may clear the bit it is handed.
+     */
+    template <typename F>
+    void forEachOldestFirst(const SlotMask& m, F&& f) const;
+
+    /** Age position (0 = ROB head) of ring slot @p slot. */
+    std::size_t
+    positionOf(std::size_t slot) const
+    {
+        return (slot - robHeadIdx_) & robMask_;
     }
+
+    /**
+     * Give the entry at @p slot that slot's wakeup state and link it to
+     * every producer it still awaits (@p guardSlot holds its SFB guard).
+     */
+    void linkSources(std::size_t slot, std::size_t guardSlot);
+    /** A completing entry decrements its consumers' pending counts. */
+    void wakeConsumers(std::size_t producer);
+    /** Derive the wakeup state from the restored ROB, seq scoreboard
+     *  and guard map. */
+    void rebuildSched(warp::StateReader& r);
 
     void completeAndResolve(Cycle now);
     void issue(Cycle now);
@@ -179,9 +229,6 @@ class Backend
     /** Execution latency for an instruction issued at @p now. */
     Cycle execLatency(const exec::DynInst& di);
 
-    /** True when all register dependences have produced. */
-    bool depsReady(const RobEntry& e) const;
-
     static bpu::CfiType cfiTypeOf(prog::OpClass op);
 
     exec::Oracle& oracle_;
@@ -191,10 +238,9 @@ class Backend
     BackendConfig cfg_;
 
     // ---- ROB ring buffer ------------------------------------------------
-    // A power-of-two ring (not std::deque) so the per-cycle scans index
-    // with a mask instead of the deque's two-level lookup, plus a
-    // compact status mirror so they can reject non-candidate entries
-    // from one cache line before touching the fat RobEntry.
+    // A power-of-two ring: positions index with a mask, and an entry
+    // keeps its ring slot while in flight, so the per-slot wakeup state
+    // and bitmasks can name it.
 
     RobEntry& robAt(std::size_t i)
     {
@@ -203,19 +249,6 @@ class Backend
     const RobEntry& robAt(std::size_t i) const
     {
         return robBuf_[(robHeadIdx_ + i) & robMask_];
-    }
-    std::uint8_t& statusAt(std::size_t i)
-    {
-        return robStatus_[(robHeadIdx_ + i) & robMask_];
-    }
-
-    void
-    robPushBack(RobEntry&& e)
-    {
-        const std::size_t slot = (robHeadIdx_ + robCount_) & robMask_;
-        robStatus_[slot] = static_cast<std::uint8_t>(e.st);
-        robBuf_[slot] = std::move(e);
-        ++robCount_;
     }
 
     void
@@ -228,7 +261,6 @@ class Backend
     void robPopBack() { --robCount_; }
 
     std::vector<RobEntry> robBuf_;
-    std::vector<std::uint8_t> robStatus_;
     std::size_t robHeadIdx_ = 0;
     std::size_t robCount_ = 0;
     std::size_t robMask_ = 0;
@@ -239,9 +271,18 @@ class Backend
     /** dynId -> done flag for SFB guards. */
     std::unordered_map<std::uint64_t, bool> sfbGuardDone_;
 
-    // ---- Scheduler scan accelerators -----------------------------------
-    // All three are pure bookkeeping over state the scans recompute;
-    // they change which cycles scan, never what a scan decides.
+    std::vector<SlotSched> sched_;
+    /** Waiting, operands ready and decode delay passed; per IQ class. */
+    SlotMask ready_[3];
+    /** Entries in St::Issued. */
+    SlotMask issuedSlots_;
+    /**
+     * The oldest armed_ entries have passed earliestIssue (which is
+     * monotone in ROB order); issue advances it each cycle.
+     */
+    std::size_t armed_ = 0;
+    /** ROB slot of the active SFB region's guard. */
+    std::size_t sfbActiveGuardSlot_ = 0;
 
     /** Entries currently in St::Issued. */
     unsigned issuedCount_ = 0;
@@ -249,8 +290,6 @@ class Backend
     Cycle nextDoneCycle_ = 0;
     /** Next robId to assign at dispatch. */
     std::uint64_t robIdNext_ = 0;
-    /** Lower bound on the robId of the oldest Waiting entry. */
-    std::uint64_t firstWaitingId_ = 0;
 
     unsigned iqCount_[3] = {0, 0, 0};
     unsigned ldqCount_ = 0;

@@ -556,20 +556,25 @@ DesignSpec::validate() const
     // rejected before any model is constructed).
     if (bpu.ghistBits < 1 || bpu.ghistBits > 1024)
         throw ConfigError("bpu.ghist_bits", "must be in [1, 1024]");
-    if (bpu.lhistSets < 1 || !isPow2(bpu.lhistSets))
+    if (bpu.lhistSets < 1 || bpu.lhistSets > 65536 ||
+        !isPow2(bpu.lhistSets))
         throw ConfigError("bpu.lhist_sets",
-                          "must be a power of two >= 1");
+                          "must be a power of two in [1, 65536]");
     if (bpu.lhistBits < 1 || bpu.lhistBits > 64)
         throw ConfigError("bpu.lhist_bits", "must be in [1, 64]");
-    if (bpu.historyFileEntries < 2)
-        throw ConfigError("bpu.history_file_entries", "must be >= 2");
+    if (bpu.historyFileEntries < 2 || bpu.historyFileEntries > 4096)
+        throw ConfigError("bpu.history_file_entries",
+                          "must be in [2, 4096]");
     if (bpu.updateWidth < 1)
         throw ConfigError("bpu.update_width", "must be >= 1");
 
     if (core.coreWidth < 1 || core.coreWidth > 16)
         throw ConfigError("core.core_width", "must be in [1, 16]");
-    if (core.robEntries < core.coreWidth)
-        throw ConfigError("core.rob_entries", "must be >= core_width");
+    if (core.robEntries < core.coreWidth || core.robEntries > 4096)
+        throw ConfigError("core.rob_entries",
+                          "must be in [core_width, 4096]");
+    if (core.rasEntries < 1 || core.rasEntries > 4096)
+        throw ConfigError("core.ras_entries", "must be in [1, 4096]");
     const struct { const char* name; std::uint64_t v; } cacheBytes[] = {
         {"core.l1i_bytes", core.l1iBytes},
         {"core.l1d_bytes", core.l1dBytes},

@@ -40,9 +40,13 @@ SimConfig::validate(bool strict) const
     require(frontend.fetchBufferInsts >= frontend.fetchWidth,
             "frontend.fetchBufferInsts",
             "must hold at least one fetch packet");
+    // The sizing fields below each size an allocation; the caps keep
+    // an untrusted document from asking for gigabytes.
+    require(frontend.rasEntries >= 1 && frontend.rasEntries <= 4096,
+            "frontend.rasEntries", "must be in [1, 4096]");
     require(backend.coreWidth >= 1, "backend.coreWidth", "must be >= 1");
-    require(backend.robEntries >= 1, "backend.robEntries",
-            "must be >= 1");
+    require(backend.robEntries >= 1 && backend.robEntries <= 4096,
+            "backend.robEntries", "must be in [1, 4096]");
     require(maxInsts >= 1, "maxInsts", "must be >= 1");
     require(maxCycles >= 1, "maxCycles", "must be >= 1");
     require(deadlockCycles >= 1, "deadlockCycles",

@@ -19,6 +19,7 @@
 #include "sim/presets.hpp"
 #include "sim/simulator.hpp"
 #include "sim/sweep.hpp"
+#include "test_util.hpp"
 
 using namespace cobra;
 using guard::ConfigError;
@@ -245,6 +246,22 @@ TEST(DesignSpec, MalformedDocumentsAreRejectedWithConfigErrors)
         EXPECT_THROW(sim::DesignSpec::fromJson(std::string(text)),
                      ConfigError)
             << "accepted: " << text;
+    }
+}
+
+TEST(DesignSpec, SizingFieldsOutOfRangeNameTheField)
+{
+    // An empty RAS would reach the model and divide by zero; an
+    // oversized structure would be allocated as asked.
+    for (const auto& [field, spec] : test::outOfRangeSizingSpecs()) {
+        try {
+            (void)sim::DesignSpec::fromJson(spec.toJson());
+            ADD_FAILURE() << "accepted out-of-range " << field;
+        } catch (const ConfigError& e) {
+            EXPECT_NE(std::string(e.what()).find(field),
+                      std::string::npos)
+                << e.what();
+        }
     }
 }
 

@@ -62,6 +62,36 @@ TEST(GuardConfig, BpuInvariantsRejected)
     EXPECT_THROW(c.validate(), guard::ConfigError);
 }
 
+TEST(GuardConfig, SizingFieldsAreBounded)
+{
+    // Every construction path reaches these checks; an empty RAS
+    // would divide by zero on the first push.
+    const auto rejects = [](auto&& mutate) {
+        sim::SimConfig cfg = sim::makeConfig(sim::Design::B2);
+        mutate(cfg);
+        EXPECT_THROW(cfg.validate(/*strict=*/false), guard::ConfigError);
+    };
+    rejects([](sim::SimConfig& c) { c.frontend.rasEntries = 0; });
+    rejects([](sim::SimConfig& c) { c.frontend.rasEntries = 4097; });
+    rejects([](sim::SimConfig& c) { c.backend.robEntries = 4097; });
+    rejects([](sim::SimConfig& c) { c.bpu.historyFileEntries = 4097; });
+    rejects([](sim::SimConfig& c) { c.bpu.lhistSets = 65537; });
+
+    sim::SimConfig atCaps = sim::makeConfig(sim::Design::B2);
+    atCaps.frontend.rasEntries = 4096;
+    atCaps.backend.robEntries = 4096;
+    atCaps.bpu.historyFileEntries = 4096;
+    atCaps.bpu.lhistSets = 65536;
+    EXPECT_NO_THROW(atCaps.validate(/*strict=*/false));
+
+    sim::SimConfig noRas = sim::makeConfig(sim::Design::B2);
+    noRas.frontend.rasEntries = 0;
+    prog::WorkloadCache cache;
+    EXPECT_THROW(sim::Simulator(cache.get("leela"),
+                                sim::buildTopology(sim::Design::B2), noRas),
+                 guard::ConfigError);
+}
+
 TEST(GuardConfig, PresetConfigsAreValid)
 {
     for (sim::Design d : sim::paperDesigns())

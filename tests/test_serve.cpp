@@ -25,6 +25,7 @@
 #include "serve/request.hpp"
 #include "serve/spool.hpp"
 #include "serve/warm_cache.hpp"
+#include "test_util.hpp"
 #include "trace/replay.hpp"
 #include "warp/snapshot.hpp"
 
@@ -294,6 +295,26 @@ TEST(ServeRequest, BadInlineSpecsAreRejected)
         EXPECT_THROW(serve::SweepRequest::parse(text, "f"),
                      serve::RequestError)
             << "accepted: " << text;
+}
+
+TEST(ServeRequest, OutOfRangeSizingInInlineSpecIsRejected)
+{
+    // The daemon runs points in its own process: an empty RAS or an
+    // oversized structure must stop at admission.
+    for (const auto& [field, spec] : test::outOfRangeSizingSpecs()) {
+        const std::string text =
+            "{\"client\": \"c\", \"workloads\": [\"leela\"], "
+            "\"design_spec\": " +
+            spec.toJson() + "}";
+        try {
+            (void)serve::SweepRequest::parse(text, "f");
+            ADD_FAILURE() << "admitted out-of-range " << field;
+        } catch (const serve::RequestError& e) {
+            EXPECT_NE(std::string(e.what()).find(field),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(ServeRequest, SearchKindParsesIntoOnePoint)

@@ -9,10 +9,15 @@
 #define COBRA_TESTS_TEST_UTIL_HPP
 
 #include <functional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "bpu/component.hpp"
 #include "program/builder.hpp"
+#include "sim/design_spec.hpp"
+#include "sim/presets.hpp"
+#include "sim/simulator.hpp"
 
 namespace cobra::test {
 
@@ -166,6 +171,48 @@ singleBranchProgram(const prog::BranchBehavior& b, unsigned pad = 5)
     prog::Program p = bld.takeProgram();
     p.setEntry(top);
     return p;
+}
+
+/**
+ * Shrink @p cfg's core until the scheduler is the bottleneck: a
+ * 16-entry ROB, 4-entry issue and load/store queues, one port per
+ * class and no decode delay. Runs then hit port contention, full-queue
+ * stalls and same-cycle wakeup.
+ */
+inline void
+useStressCore(sim::SimConfig& cfg)
+{
+    core::BackendConfig& b = cfg.backend;
+    b.robEntries = 16;
+    b.intIqEntries = b.memIqEntries = b.fpIqEntries = 4;
+    b.ldqEntries = b.stqEntries = 4;
+    b.aluPorts = b.memPorts = b.fpPorts = 1;
+    b.decodeDelay = 0;
+}
+
+/**
+ * Tourney's spec with one sizing field out of range each: an empty
+ * RAS, then every capped field one past its cap (lhist_sets, which
+ * must be a power of two, at the next one). Each spec comes with the
+ * field its rejection must name. None allocates more than a few MB if
+ * a model is built from it anyway.
+ */
+inline std::vector<std::pair<std::string, sim::DesignSpec>>
+outOfRangeSizingSpecs()
+{
+    std::vector<std::pair<std::string, sim::DesignSpec>> out;
+    const auto add = [&](const char* field, auto&& mutate) {
+        sim::DesignSpec s = sim::presetSpec("tourney");
+        mutate(s);
+        out.emplace_back(field, std::move(s));
+    };
+    add("core.ras_entries", [](auto& s) { s.core.rasEntries = 0; });
+    add("core.ras_entries", [](auto& s) { s.core.rasEntries = 4097; });
+    add("core.rob_entries", [](auto& s) { s.core.robEntries = 4097; });
+    add("bpu.history_file_entries",
+        [](auto& s) { s.bpu.historyFileEntries = 4097; });
+    add("bpu.lhist_sets", [](auto& s) { s.bpu.lhistSets = 131072; });
+    return out;
 }
 
 } // namespace cobra::test

@@ -19,6 +19,7 @@
 #include "program/workload.hpp"
 #include "sim/presets.hpp"
 #include "sim/simulator.hpp"
+#include "test_util.hpp"
 #include "warp/fastforward.hpp"
 #include "warp/snapshot.hpp"
 #include "warp/state_io.hpp"
@@ -161,34 +162,107 @@ TEST(StateIo, OversizedVectorLengthIsAStructuredError)
 
 TEST(Snapshot, MidRunRoundTripIsBitExactForEveryPresetDesign)
 {
-    const prog::Program& p = cache().get("x264");
+    // Restore rebuilds the scheduler's wakeup state from the ROB. On
+    // coremark a guard converts every ~35 cycles, so SFB captures hold
+    // shadows waiting on unresolved guards (Tournament/sfb and the
+    // B2 and TAGE-L stress cores did when this was written); the
+    // stress core adds full queues and contended ports.
+    struct Variant
+    {
+        const char* name;
+        const char* workload;
+        bool sfb;
+        bool stress;
+    };
+    const Variant variants[] = {{"base", "x264", false, false},
+                                {"sfb", "coremark", true, false},
+                                {"stress+sfb", "coremark", true, true}};
     for (sim::Design d : sim::paperDesigns()) {
-        const sim::SimConfig cfg = smallCfg(d);
+        for (const Variant& v : variants) {
+            const std::string what =
+                std::string(sim::designName(d)) + "/" + v.name;
+            const prog::Program& p = cache().get(v.workload);
+            sim::SimConfig cfg = smallCfg(d);
+            cfg.backend.sfbEnabled = v.sfb;
+            if (v.stress)
+                test::useStressCore(cfg);
 
-        sim::Simulator ref(p, sim::buildTopology(d), cfg);
-        const sim::SimResult want = ref.run();
-        ASSERT_GT(want.cycles, 0u);
+            sim::Simulator ref(p, sim::buildTopology(d), cfg);
+            const sim::SimResult want = ref.run();
+            ASSERT_GT(want.cycles, 0u);
 
-        // Stop mid-run at an arbitrary cycle: the pipeline is full of
-        // in-flight speculation (fetch packets, ROB entries, pending
-        // repair walks) — exactly the state a checkpoint must carry.
-        sim::Simulator a(p, sim::buildTopology(d), cfg);
-        ASSERT_TRUE(a.advanceTo(want.cycles / 2))
-            << sim::designName(d) << ": run finished before midpoint";
-        const warp::Snapshot snap = warp::captureSnapshot(a);
-        EXPECT_EQ(snap.cycle, want.cycles / 2);
+            // Stop mid-run at an arbitrary cycle: the pipeline is full
+            // of in-flight speculation (fetch packets, ROB entries,
+            // pending repair walks) — exactly the state a checkpoint
+            // must carry.
+            sim::Simulator a(p, sim::buildTopology(d), cfg);
+            ASSERT_TRUE(a.advanceTo(want.cycles / 2))
+                << what << ": run finished before midpoint";
+            const warp::Snapshot snap = warp::captureSnapshot(a);
+            EXPECT_EQ(snap.cycle, want.cycles / 2);
 
-        // The capturing simulator itself resumes bit-exactly...
-        const sim::SimResult resumed = a.run();
-        EXPECT_EQ(resumed, want)
-            << sim::designName(d) << ": capture perturbed the run";
+            // The capturing simulator itself resumes bit-exactly...
+            const sim::SimResult resumed = a.run();
+            EXPECT_EQ(resumed, want)
+                << what << ": capture perturbed the run";
 
-        // ...and so does a fresh simulator restored from the snapshot.
-        sim::Simulator b(p, sim::buildTopology(d), cfg);
-        warp::restoreSnapshot(b, snap);
-        const sim::SimResult restored = b.run();
-        EXPECT_EQ(restored, want)
-            << sim::designName(d) << ": restore diverged";
+            // ...and so does a fresh simulator restored from the
+            // snapshot.
+            sim::Simulator b(p, sim::buildTopology(d), cfg);
+            warp::restoreSnapshot(b, snap);
+            const sim::SimResult restored = b.run();
+            EXPECT_EQ(restored, want) << what << ": restore diverged";
+        }
+    }
+}
+
+TEST(Snapshot, BackendRestoreChecksOccupancyAndRobIdOrder)
+{
+    // REF-BIG's 224-entry ROB rides a 256-slot ring: occupancy is
+    // checked against the configured size, before any entry is read.
+    const prog::Program& p = cache().get("leela");
+    sim::Simulator s(p, sim::buildTopology(sim::Design::RefBig),
+                     smallCfg(sim::Design::RefBig));
+    const auto restoreError = [&](const std::vector<std::uint8_t>& b) {
+        warp::StateReader r(b);
+        try {
+            s.backend().restoreState(r);
+        } catch (const guard::CheckpointError& e) {
+            return std::string(e.what());
+        }
+        return std::string("accepted");
+    };
+    {
+        warp::StateWriter w;
+        w.u64(225);
+        EXPECT_NE(restoreError(w.take()).find(
+                      "ROB occupancy 225 exceeds this configuration's "
+                      "224 entries"),
+                  std::string::npos);
+    }
+    // Wakeup links name consumers by robId: a repeated id is refused
+    // as soon as its entry is read.
+    {
+        warp::StateWriter w;
+        w.u64(2);
+        core::FetchedInst fi;
+        fi.di.pc = p.entry();
+        fi.di.si = &p.at(p.entry());
+        for (int i = 0; i < 2; ++i) {
+            core::saveFetchedInst(w, fi, p);
+            w.u8(0);           // Waiting
+            w.u8(0);           // Int
+            w.u64(0);          // earliestIssue
+            w.u64(0);          // doneCycle
+            w.boolean(false);  // wasMispredict
+            w.boolean(false);  // sfbConverted
+            w.boolean(false);  // sfbShadow
+            w.u64(0);          // sfbGuard
+            w.u64(7);          // robId
+        }
+        EXPECT_NE(restoreError(w.take()).find(
+                      "ROB robIds do not strictly increase"),
+                  std::string::npos);
     }
 }
 
