@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <filesystem>
 #include <iostream>
 #include <sstream>
+#include <system_error>
 #include <thread>
 
 #include "common/json.hpp"
@@ -122,11 +124,31 @@ stemOf(const std::string& fname)
                             : fname;
 }
 
+/** Longest idle wait: an hour, and an int for poll(). */
+constexpr std::uint64_t kMaxPollMs = 3'600'000;
+
+const ServeConfig&
+validated(const ServeConfig& cfg)
+{
+    cfg.validate();
+    return cfg;
+}
+
 } // namespace
 
+void
+ServeConfig::validate() const
+{
+    // 0 would spin, rewriting status.json in a tight loop.
+    if (pollMs < 1 || pollMs > kMaxPollMs)
+        throw guard::ConfigError(
+            "pollMs", "must be in [1, " + std::to_string(kMaxPollMs) +
+                          "] ms, got " + std::to_string(pollMs));
+}
+
 Daemon::Daemon(const ServeConfig& cfg)
-    : cfg_(cfg), spool_(cfg.spoolRoot), journal_(spool_.journalPath()),
-      warm_(spool_.warmDir())
+    : cfg_(validated(cfg)), spool_(cfg.spoolRoot),
+      journal_(spool_.journalPath()), warm_(spool_.warmDir())
 {
     registry_.add("serve", stats_);
     registry_.add("serve.warm_cache", warm_.stats());
@@ -135,6 +157,12 @@ Daemon::Daemon(const ServeConfig& cfg)
 std::size_t
 Daemon::run(const std::atomic<bool>& stop)
 {
+    // Armed before the first scan of incoming/, and each wait drains
+    // it, so every arrival after a scan rings for the next wait.
+    // --once never waits, and closing an armed watch costs ~15 ms of
+    // kernel teardown, so it stays disarmed there.
+    IncomingWatch doorbell =
+        cfg_.once ? IncomingWatch() : spool_.watchIncoming();
     recover();
     writeStatusDoc("running");
 
@@ -149,10 +177,9 @@ Daemon::run(const std::atomic<bool>& stop)
                 break;
             continue;
         }
-        if (!ran && !stop.load(std::memory_order_relaxed)) {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(cfg_.pollMs));
-        }
+        if (!ran && !stop.load(std::memory_order_relaxed) &&
+            doorbell.wait(static_cast<int>(cfg_.pollMs)))
+            ++arrivalWakeups_;
     }
 
     // Graceful exit: whatever is still queued stays in active/ with
@@ -243,7 +270,12 @@ Daemon::recover()
     }
     recovered_.clear();
     recoveredDone_.clear();
-    checkpointJournal();
+    // Compact away retired requests and any torn tail. An empty
+    // journal (a fresh spool) has neither, so a cold start skips the
+    // durable rewrite.
+    std::error_code ec;
+    if (std::filesystem::file_size(spool_.journalPath(), ec) != 0)
+        checkpointJournal();
 }
 
 void
@@ -828,7 +860,7 @@ Daemon::writeStatusDoc(const std::string& state)
        << "  \"stats\": ";
     registry_.writeJson(os, 2);
     os << "\n}\n";
-    writeFileAtomic(spool_.statusPath(), os.str());
+    writeFileAtomic(spool_.statusPath(), os.str(), Durability::Advisory);
 }
 
 void

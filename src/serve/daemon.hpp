@@ -62,7 +62,13 @@ struct ServeConfig
     std::size_t maxPointsPerClient = 128;
     /** Base of the exponential retry backoff (ms * 2^attempt). */
     std::uint64_t backoffBaseMs = 50;
-    /** Incoming-directory poll period when idle. */
+    /**
+     * Longest idle wait (ms), in [1, 3'600'000]. An idle daemon wakes
+     * at once when a request is renamed into incoming/; this bounds
+     * the wait for writers that bypass the rename, for the polling
+     * fallback where inotify is unavailable, and for an in-process
+     * caller's stop flag.
+     */
     std::uint64_t pollMs = 200;
     /** advanceTo() slice used by the wall-clock watchdog (cycles). */
     std::uint64_t watchdogSliceCycles = 50'000;
@@ -70,6 +76,9 @@ struct ServeConfig
     bool once = false;
     /** Log admissions/retirements to stderr. */
     bool verbose = false;
+
+    /** Throws guard::ConfigError naming the field out of range. */
+    void validate() const;
 };
 
 /** Final state of one grid point of a request. */
@@ -92,6 +101,7 @@ struct PointRecord
 class Daemon
 {
   public:
+    /** Validates @p cfg (guard::ConfigError) and opens the spool. */
     explicit Daemon(const ServeConfig& cfg);
 
     /**
@@ -227,6 +237,9 @@ class Daemon
         "journaled point results replayed at startup"};
     Stat<Counter> interrupted_{stats_, "interrupted",
                                "requests parked by a drain"};
+    Stat<Counter> arrivalWakeups_{
+        stats_, "arrival_wakeups",
+        "idle waits ended by a request renamed into incoming/"};
 
     scope::StatRegistry registry_;
 };

@@ -1,21 +1,14 @@
 #include "serve/journal.hpp"
 
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
-#include <system_error>
 
-#include <cstdio>
-#include <filesystem>
-
-#if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
-#define COBRA_SERVE_HAVE_FSYNC 1
-#endif
 
 #include "common/json.hpp"
-
-namespace fs = std::filesystem;
+#include "serve/spool.hpp"
 
 namespace cobra::serve {
 
@@ -45,11 +38,9 @@ Journal::append(const std::string& line)
     if (std::fwrite(line.data(), 1, line.size(), f_) != line.size() ||
         std::fputc('\n', f_) == EOF || std::fflush(f_) != 0)
         throw std::runtime_error("journal append failed: " + path_);
-#if COBRA_SERVE_HAVE_FSYNC
     // Durability, not just ordering: a recorded point must survive a
     // power cut, or recovery could double-run it.
     ::fsync(::fileno(f_));
-#endif
 }
 
 void
@@ -59,23 +50,12 @@ Journal::checkpoint(const std::vector<std::string>& lines)
     std::fclose(f_);
     f_ = nullptr;
 
-    const std::string tmp = path_ + ".tmp";
-    {
-        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-        if (!os)
-            throw std::runtime_error("cannot write " + tmp);
-        for (const std::string& l : lines)
-            os << l << '\n';
-        os.flush();
-        if (!os)
-            throw std::runtime_error("write failed: " + tmp);
-    }
-    std::error_code ec;
-    fs::rename(tmp, path_, ec);
-    if (ec) {
-        throw std::runtime_error("journal checkpoint rename: " +
-                                 ec.message());
-    }
+    std::string text;
+    for (const std::string& l : lines)
+        text += l + '\n';
+    // Durable: the compacted journal replaces records that were each
+    // fsync'd, and must not be the one to lose them.
+    writeFileAtomic(path_, text, Durability::Durable);
     open();
 }
 

@@ -19,9 +19,9 @@
  * cut by the crash) ends the replay; everything before it is intact
  * by construction.
  *
- * checkpoint() compacts the journal (atomically, via temp+rename) to
- * just the records describing still-active requests, bounding its
- * growth across a long daemon life.
+ * checkpoint() compacts the journal (atomically and durably, via
+ * fsync'd temp+rename) to just the records describing still-active
+ * requests, bounding its growth across a long daemon life.
  */
 
 #ifndef COBRA_SERVE_JOURNAL_HPP
@@ -55,8 +55,8 @@ class Journal
     void append(const std::string& line);
 
     /**
-     * Atomically replace the journal's contents with @p lines
-     * (temp + rename), then reopen for appending.
+     * Atomically and durably replace the journal's contents with
+     * @p lines (writeFileAtomic), then reopen for appending.
      */
     void checkpoint(const std::vector<std::string>& lines);
 

@@ -43,6 +43,11 @@ Json::asInt() const
         kindMismatch("number", kind_);
     if (numIsInt_)
         return int_;
+    // [-2^63, 2^63) in double: casting anything outside (or a NaN) to
+    // int64 is undefined behaviour, so "1e30" must stop here.
+    constexpr double kTwo63 = 9223372036854775808.0;
+    if (!(num_ >= -kTwo63 && num_ < kTwo63))
+        throw JsonError(0, "integer out of range");
     const double r = std::nearbyint(num_);
     if (r != num_)
         throw JsonError(0, "expected an integer, have a fraction");

@@ -1,6 +1,7 @@
 #include "serve/request.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
 #include "guard/errors.hpp"
@@ -39,6 +40,33 @@ stringList(const Json& doc, const char* key)
         out.push_back(e.asString());
     }
     return out;
+}
+
+constexpr std::uint64_t kUnsignedMax =
+    std::numeric_limits<unsigned>::max();
+
+/**
+ * Member @p key of @p obj as a u64, range-checked before any caller
+ * narrows it: above @p max it is a RequestError naming @p field, never
+ * a wrapped value that lands back in range.
+ */
+std::uint64_t
+boundedU64(const Json& obj, const char* key, std::uint64_t dflt,
+           std::uint64_t max, const std::string& field)
+{
+    const std::uint64_t v = obj.getU64(key, dflt);
+    if (v > max)
+        throw RequestError("'" + field + "' must be <= " +
+                           std::to_string(max));
+    return v;
+}
+
+/** An `unsigned` member of the "search" block. */
+unsigned
+searchUnsigned(const Json& s, const char* key, unsigned dflt)
+{
+    return static_cast<unsigned>(boundedU64(
+        s, key, dflt, kUnsignedMax, std::string("search.") + key));
 }
 
 /**
@@ -109,27 +137,24 @@ parseSearchBlock(const Json& doc)
     if (!s->isObject())
         throw RequestError("'search' must be an object");
     cfg.seed = s->getU64("seed", cfg.seed);
-    cfg.pool =
-        static_cast<unsigned>(s->getU64("pool", cfg.pool));
+    cfg.pool = searchUnsigned(*s, "pool", cfg.pool);
     cfg.budget.storageKb =
         s->getU64("budget_kb", cfg.budget.storageKb);
     cfg.budget.areaUm2 =
         s->getDouble("budget_um2", cfg.budget.areaUm2);
     cfg.anchors = s->getBool("anchors", cfg.anchors);
-    cfg.seedEvals = static_cast<unsigned>(
-        s->getU64("seed_evals", cfg.seedEvals));
-    cfg.functionalSurvivors = static_cast<unsigned>(
-        s->getU64("survivors", cfg.functionalSurvivors));
-    cfg.warpSurvivors = static_cast<unsigned>(
-        s->getU64("warp_survivors", cfg.warpSurvivors));
-    cfg.finalists = static_cast<unsigned>(
-        s->getU64("finalists", cfg.finalists));
+    cfg.seedEvals = searchUnsigned(*s, "seed_evals", cfg.seedEvals);
+    cfg.functionalSurvivors =
+        searchUnsigned(*s, "survivors", cfg.functionalSurvivors);
+    cfg.warpSurvivors =
+        searchUnsigned(*s, "warp_survivors", cfg.warpSurvivors);
+    cfg.finalists = searchUnsigned(*s, "finalists", cfg.finalists);
     cfg.traceBranches =
         s->getU64("trace_branches", cfg.traceBranches);
     cfg.traceWarmup = s->getU64("trace_warmup", cfg.traceWarmup);
     cfg.warpInsts = s->getU64("warp_insts", cfg.warpInsts);
-    cfg.warpIntervals = static_cast<unsigned>(
-        s->getU64("intervals", cfg.warpIntervals));
+    cfg.warpIntervals =
+        searchUnsigned(*s, "intervals", cfg.warpIntervals);
     cfg.warpSampleInsts =
         s->getU64("sample_insts", cfg.warpSampleInsts);
     cfg.detailInsts = s->getU64("insts", cfg.detailInsts);
@@ -157,7 +182,8 @@ SweepRequest::parse(const std::string& text,
     try {
         r.id = doc.getString("id", fallback_id);
         r.client = doc.getString("client", "");
-        r.priority = static_cast<int>(doc.getU64("priority", 1));
+        r.priority = static_cast<int>(
+            boundedU64(doc, "priority", 1, 3, "priority"));
         r.kind = doc.getString("kind", "sweep");
         if (r.kind != "sweep" && r.kind != "search")
             throw RequestError("'kind' must be sweep | search, got '" +
@@ -183,15 +209,16 @@ SweepRequest::parse(const std::string& text,
         r.deadlockCycles =
             doc.getU64("deadlock_cycles", r.deadlockCycles);
         r.pointTimeoutMs = doc.getU64("point_timeout_ms", 0);
-        r.maxRetries =
-            static_cast<unsigned>(doc.getU64("max_retries", 2));
+        r.maxRetries = static_cast<unsigned>(
+            boundedU64(doc, "max_retries", 2, 8, "max_retries"));
 
         if (const Json* w = doc.find("warp")) {
             if (!w->isObject())
                 throw RequestError("'warp' must be an object");
             r.warp = true;
             r.intervals = static_cast<unsigned>(
-                w->getU64("intervals", r.intervals));
+                boundedU64(*w, "intervals", r.intervals, kUnsignedMax,
+                           "warp.intervals"));
             r.warmupCycles =
                 w->getU64("warmup_cycles", r.warmupCycles);
             r.sampleInsts = w->getU64("sample_insts", r.sampleInsts);
@@ -217,10 +244,6 @@ SweepRequest::parse(const std::string& text,
                            "names spool files)");
     if (r.client.empty())
         throw RequestError("'client' is required");
-    if (r.priority < 0 || r.priority > 3)
-        throw RequestError("'priority' must be in [0, 3]");
-    if (r.maxRetries > 8)
-        throw RequestError("'max_retries' must be <= 8");
     {
         std::set<std::string> seenDesigns;
         for (const sim::DesignSpec& d : r.designs) {

@@ -5,14 +5,18 @@
  * replay), the warm-state snapshot cache under poisoning, concurrent
  * WorkloadCache use, and the daemon end to end — healthy grids,
  * structured rejections, per-point timeout/retry records, priority
- * shedding, and crash recovery from a journaled mid-request state.
+ * shedding, crash recovery from a journaled mid-request state, and the
+ * watch loop's wake on arrival.
  */
 
 #include <atomic>
+#include <chrono>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -96,6 +100,21 @@ runOnce(const serve::ServeConfig& cfg)
     return daemon.run(stop);
 }
 
+/** Poll @p ready every 5 ms for up to @p seconds; its last value. */
+template <typename Pred>
+bool
+waitUntil(Pred ready, double seconds)
+{
+    const auto until = std::chrono::steady_clock::now() +
+                       std::chrono::duration<double>(seconds);
+    while (!ready()) {
+        if (std::chrono::steady_clock::now() >= until)
+            return false;
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    return true;
+}
+
 } // namespace
 
 // ---------------------------------------------------------------------
@@ -169,9 +188,52 @@ TEST(ServeJson, TypeMismatchesThrowNotCrash)
                  serve::JsonError);
 }
 
+TEST(ServeJson, NonIntegerLiteralsOutsideInt64AreOutOfRange)
+{
+    // Written with an exponent, these are doubles; casting them to
+    // int64 would be undefined behaviour. 9.3e18 is just past 2^63.
+    for (const char* lit : {"1e30", "9.3e18", "-1e30"}) {
+        try {
+            (void)serve::Json::parse(lit).asU64(); // Reads via asInt().
+            ADD_FAILURE() << "accepted " << lit;
+        } catch (const serve::JsonError& e) {
+            EXPECT_NE(std::string(e.what()).find("out of range"),
+                      std::string::npos)
+                << lit << ": " << e.what();
+        }
+    }
+    // In range, an exponent literal is still an integer.
+    EXPECT_EQ(serve::Json::parse("4e3").asU64(), 4000u);
+}
+
 // ---------------------------------------------------------------------
 // Request parsing and validation
 // ---------------------------------------------------------------------
+
+namespace {
+
+/**
+ * Each document must be rejected with a message naming its field.
+ * The values are 2^32 plus a valid one: a narrowing cast before the
+ * range check would read 4294967298 as 2 and admit it.
+ */
+void
+expectFieldRejected(
+    const std::vector<std::pair<std::string, std::string>>& cases)
+{
+    for (const auto& [field, text] : cases) {
+        try {
+            (void)serve::SweepRequest::parse(text, "f");
+            ADD_FAILURE() << "accepted oversized " << field;
+        } catch (const serve::RequestError& e) {
+            EXPECT_NE(std::string(e.what()).find("'" + field + "'"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+} // namespace
 
 TEST(ServeRequest, ParsesFullDocumentWithDefaults)
 {
@@ -243,6 +305,14 @@ TEST(ServeRequest, SemanticViolationsAreRejected)
         EXPECT_THROW(serve::SweepRequest::parse(text, "f"),
                      serve::RequestError)
             << "accepted: " << text;
+
+    const std::string head = "{\"client\": \"c\", \"designs\": [\"b2\"], "
+                             "\"workloads\": [\"leela\"], ";
+    expectFieldRejected({
+        {"priority", head + "\"priority\": 4294967298}"},
+        {"max_retries", head + "\"max_retries\": 4294967304}"},
+        {"warp.intervals", head + "\"warp\": {\"intervals\": 4294967298}}"},
+    });
 }
 
 TEST(ServeRequest, InlineDesignSpecResolvesLikeThePresetName)
@@ -363,6 +433,22 @@ TEST(ServeRequest, SearchKindRejectsIncompatibleFields)
         EXPECT_THROW(serve::SweepRequest::parse(text, "f"),
                      serve::RequestError)
             << "accepted: " << text;
+
+    std::vector<std::pair<std::string, std::string>> wide;
+    for (const auto& [key, value] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"pool", "4294967328"},
+             {"seed_evals", "4294967306"},
+             {"survivors", "4294967310"},
+             {"warp_survivors", "4294967301"},
+             {"finalists", "4294967298"},
+             {"intervals", "4294967300"}}) {
+        wide.emplace_back("search." + key,
+                          "{\"client\": \"c\", \"kind\": \"search\", "
+                          "\"workloads\": [\"mcf\"], \"search\": {\"" +
+                              key + "\": " + value + "}}");
+    }
+    expectFieldRejected(wide);
 }
 
 // ---------------------------------------------------------------------
@@ -405,9 +491,42 @@ TEST(ServeSpool, ScansSkipTempAndForeignFiles)
 TEST(ServeSpool, AtomicWriteLeavesNoTemp)
 {
     const std::string dir = scratchDir("cobra_spool_atomic");
-    serve::writeFileAtomic(dir + "/out.json", "{\"x\": 1}\n");
-    EXPECT_EQ(serve::readFileText(dir + "/out.json"), "{\"x\": 1}\n");
-    EXPECT_FALSE(fs::exists(dir + "/out.json.tmp"));
+    for (const serve::Durability d :
+         {serve::Durability::Durable, serve::Durability::Advisory}) {
+        serve::writeFileAtomic(dir + "/out.json", "{\"x\": 1}\n", d);
+        EXPECT_EQ(serve::readFileText(dir + "/out.json"),
+                  "{\"x\": 1}\n");
+        EXPECT_FALSE(fs::exists(dir + "/out.json.tmp"));
+    }
+}
+
+TEST(ServeSpool, DoorbellRingsOnRenameAndDrains)
+{
+    using Clock = std::chrono::steady_clock;
+    serve::Spool spool(scratchDir("cobra_spool_doorbell"));
+    serve::IncomingWatch bell = spool.watchIncoming();
+    EXPECT_FALSE(bell.wait(1)); // Nothing arrived yet.
+
+    // Two renames before one wait: a single wake drains both.
+    submit(spool, "a.json", "{}");
+    submit(spool, "b.json", "{}");
+    const auto t0 = Clock::now();
+    EXPECT_TRUE(bell.wait(30'000));
+    EXPECT_LT(Clock::now() - t0, std::chrono::seconds(10));
+    EXPECT_FALSE(bell.wait(1));
+
+    // Creating a file in place does not ring; only the rename does.
+    writeFile(spool.incomingDir() + "/c.json.tmp", "{}");
+    EXPECT_FALSE(bell.wait(1));
+    fs::rename(spool.incomingDir() + "/c.json.tmp",
+               spool.incomingDir() + "/c.json");
+    EXPECT_TRUE(bell.wait(30'000));
+
+    // Unwatchable directory: the same wait is a plain timed sleep.
+    serve::IncomingWatch deaf(spool.root() + "/no-such-dir");
+    const auto t1 = Clock::now();
+    EXPECT_FALSE(deaf.wait(20));
+    EXPECT_GE(Clock::now() - t1, std::chrono::milliseconds(20));
 }
 
 // ---------------------------------------------------------------------
@@ -901,6 +1020,95 @@ TEST(ServeDaemon, PoisonedWarmCacheRegeneratesCleanly)
     EXPECT_EQ(ap.find("warp")->getU64("warm_hits", 99), 0u);
     EXPECT_GT(ap.find("warp")->getU64("ff_insts", 0), 0u);
     EXPECT_EQ(cp.getU64("cycles", 1), ap.getU64("cycles", 2));
+}
+
+TEST(ServeDaemon, PollMsOutsideItsRangeIsAConfigError)
+{
+    const std::string root =
+        (fs::temp_directory_path() / "cobra_serve_poll_ms").string();
+    fs::remove_all(root);
+    serve::ServeConfig cfg = onceConfig(root);
+    // 0 would spin; above INT_MAX poll() would read a negative
+    // timeout and block forever.
+    for (const std::uint64_t ms : {0ull, 3'600'001ull, 2'147'483'648ull}) {
+        cfg.pollMs = ms;
+        try {
+            serve::Daemon daemon(cfg);
+            ADD_FAILURE() << "accepted pollMs " << ms;
+        } catch (const guard::ConfigError& e) {
+            EXPECT_NE(std::string(e.what()).find("pollMs"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    EXPECT_FALSE(fs::exists(root)) << "refused after touching the spool";
+    for (const std::uint64_t ms : {1ull, 3'600'000ull}) {
+        cfg.pollMs = ms;
+        EXPECT_NO_THROW(serve::Daemon{cfg}) << ms;
+    }
+}
+
+TEST(ServeDaemon, IdleDaemonWakesOnArrival)
+{
+    const std::string root = scratchDir("cobra_serve_wake");
+    serve::ServeConfig cfg = onceConfig(root);
+    cfg.once = false;
+    cfg.pollMs = 30'000; // Only the doorbell can beat the deadline.
+    serve::Daemon daemon(cfg);
+    const serve::Spool& spool = daemon.spool();
+
+    std::atomic<bool> stop{false};
+    std::exception_ptr failure;
+    std::thread server([&] {
+        try {
+            daemon.run(stop);
+        } catch (...) {
+            failure = std::current_exception();
+        }
+    });
+
+    // run() writes status.json once it serves; then let it settle
+    // into its idle wait before the request arrives.
+    EXPECT_TRUE(waitUntil([&] { return fs::exists(spool.statusPath()); },
+                          30.0));
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    submit(spool, "wake.json", smallRequest("wake"));
+    // 10 s leaves room for the sanitizer builds.
+    EXPECT_TRUE(waitUntil(
+        [&] { return fs::exists(spool.resultPath("wake")); }, 10.0))
+        << "no result within 10 s of an arrival at a 30 s poll";
+    // status.json is rewritten right after the request retires. (Not
+    // a throw: the server thread must be joined below.)
+    serve::Json status;
+    waitUntil(
+        [&] {
+            try {
+                status = serve::Json::parse(
+                    serve::readFileText(spool.statusPath()));
+            } catch (const std::exception&) {
+                return false;
+            }
+            return status.getU64("retired", 0) == 1;
+        },
+        10.0);
+
+    // Teardown: raise the flag, then ring the doorbell with a file the
+    // scan ignores.
+    stop = true;
+    writeFile(spool.incomingDir() + "/ring.tmp", "");
+    fs::rename(spool.incomingDir() + "/ring.tmp",
+               spool.incomingDir() + "/ring");
+    server.join();
+    if (failure)
+        std::rethrow_exception(failure);
+
+    ASSERT_EQ(status.getU64("retired", 0), 1u);
+    const serve::Json& counters =
+        *status.find("stats")->find("serve")->find("counters");
+    EXPECT_GE(counters.getU64("arrival_wakeups", 0), 1u);
+    EXPECT_EQ(serve::Json::parse(resultText(spool, "wake"))
+                  .getString("status", ""),
+              "ok");
 }
 
 // ---------------------------------------------------------------------

@@ -15,10 +15,15 @@
  *               [--max-queue N] [--max-points N] [--client-quota N]
  *               [--backoff-ms N] [--verbose]
  *
+ * Intake: the rename into incoming/ wakes an idle daemon at once
+ * (inotify); --poll-ms only bounds the idle wait, which matters for
+ * writers that skip the rename and where inotify is unavailable.
+ *
  * Signals: SIGTERM/SIGINT start a graceful drain — in-flight points
  * finish, partial results flush, the journal checkpoints, and undone
- * work stays in `active/` for the next daemon. A second signal (or
- * kill -9) is also safe: recovery replays the journal on restart.
+ * work stays in `active/` for the next daemon. An idle daemon drains
+ * at once: the signal ends its wait. A second signal (or kill -9) is
+ * also safe: recovery replays the journal on restart.
  */
 
 #include <atomic>
@@ -51,8 +56,11 @@ usage()
         "  --jobs N           sweep worker threads (default: COBRA_JOBS,\n"
         "                     else hardware concurrency)\n"
         "  --once             drain the spool and exit (no watch loop)\n"
-        "  --poll-ms N        incoming poll period when idle\n"
-        "                     (default 200)\n"
+        "  --poll-ms N        longest idle wait in ms, 1..3600000\n"
+        "                     (default 200). A request renamed into\n"
+        "                     incoming/ wakes the daemon at once; this\n"
+        "                     bounds the rescan for writers that skip\n"
+        "                     the rename, or where inotify is missing\n"
         "  --max-queue N      max admitted-but-not-running requests\n"
         "                     (default 8); a full queue sheds the\n"
         "                     lowest-priority entry for a higher one\n"
@@ -117,6 +125,7 @@ main(int argc, char** argv)
                 throw std::runtime_error("unknown option: " + a);
             }
         }
+        cfg.validate();
     } catch (const std::exception& e) {
         std::cerr << "error: " << e.what() << "\n\n";
         usage();

@@ -10,7 +10,10 @@
 #      journal and a "stopped" status document;
 #   3. crash recovery: kill -9 mid-run, restart on the same spool,
 #      and verify the journaled points were republished verbatim
-#      rather than re-simulated.
+#      rather than re-simulated;
+#   4. the watch loop: at a 30 s poll, a request renamed into an idle
+#      daemon's incoming/ gets its result within 5 s, and SIGTERM
+#      ends the idle daemon within 5 s; --poll-ms 0 is a usage error.
 #
 # Usage: tools/serve_smoke.sh [path-to-cobra_serve]
 set -euo pipefail
@@ -156,6 +159,70 @@ assert recovered == journaled, (recovered, journaled)
 assert recovered >= 1, "journal recovery replayed nothing"
 print(f"leg 3 OK: {recovered} journaled points replayed, "
       f"{6 - recovered} re-run after restart")
+EOF
+
+# ---------------------------------------------------------------------
+say "leg 4: an idle daemon wakes on arrival and drains at once"
+ms_now() { date +%s%3N; }
+
+# Out-of-range polls are refused before the daemon starts (--once
+# keeps a build that accepts them from spinning forever).
+for bad in 0 3600001; do
+    rc=0
+    "$SERVE" --spool "$WORK/spool4-bad" --once --poll-ms "$bad" \
+        >/dev/null 2>&1 || rc=$?
+    [ "$rc" -eq 2 ] || die "--poll-ms $bad exited $rc, expected 2"
+done
+
+S4="$WORK/spool4"
+mkdir -p "$S4/incoming"
+"$SERVE" --spool "$S4" --jobs 1 --poll-ms 30000 &
+PID=$!
+die4() { kill -9 "$PID" 2>/dev/null || true; die "$@"; }
+for _ in $(seq 1 300); do
+    [ -f "$S4/status.json" ] && break
+    sleep 0.1
+done
+[ -f "$S4/status.json" ] || die4 "daemon did not start"
+sleep 0.5 # Let it fall into its idle wait.
+
+T0=$(ms_now)
+submit "$S4" wake.json '{
+  "id": "wake", "client": "ci", "designs": ["b2"],
+  "workloads": ["leela"], "insts": 8000, "warmup": 1000}'
+for _ in $(seq 1 250); do
+    [ -f "$S4/results/wake.json" ] && break
+    sleep 0.02
+done
+ARRIVAL_MS=$(( $(ms_now) - T0 ))
+[ -f "$S4/results/wake.json" ] \
+    || die4 "no result ${ARRIVAL_MS} ms after an arrival at a 30 s poll"
+
+sleep 0.5 # Idle again.
+T0=$(ms_now)
+kill -TERM "$PID"
+for _ in $(seq 1 250); do
+    kill -0 "$PID" 2>/dev/null || break
+    sleep 0.02
+done
+kill -0 "$PID" 2>/dev/null \
+    && die4 "idle daemon still running 5 s after SIGTERM"
+if ! wait "$PID"; then die "daemon exited non-zero on SIGTERM"; fi
+STOP_MS=$(( $(ms_now) - T0 ))
+
+python3 "$CHECK" --kind serve-result "$S4/results/wake.json"
+python3 "$CHECK" --kind serve-status "$S4/status.json"
+python3 - "$S4" "$ARRIVAL_MS" "$STOP_MS" <<'EOF'
+import json, sys
+root, arrival_ms, stop_ms = sys.argv[1], sys.argv[2], sys.argv[3]
+doc = json.load(open(f"{root}/results/wake.json"))
+assert doc["status"] == "ok", doc["status"]
+status = json.load(open(f"{root}/status.json"))
+assert status["state"] == "stopped", status["state"]
+counters = status["stats"]["serve"]["counters"]
+assert counters["arrival_wakeups"] >= 1, counters
+print(f"leg 4 OK: result {arrival_ms} ms after arrival, exit "
+      f"{stop_ms} ms after SIGTERM, at a 30000 ms poll")
 EOF
 
 say "serve_smoke: all legs passed"
