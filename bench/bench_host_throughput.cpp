@@ -132,7 +132,6 @@ main()
             best = std::max(best, o.host.kiloCyclesPerSec());
         }
         const std::string label = outs.at(pi * reps).label;
-        const std::string& loop = outs.at(pi * reps).loop;
         const double base = baselineKcps(baselineDoc, label);
         const double speedup = base > 0.0 ? best / base : 0.0;
         if (base > 0.0) {
@@ -145,8 +144,6 @@ main()
         if (pi != 0)
             pointsJson << ",\n";
         pointsJson << "    { \"label\": \"" << sim::jsonEscape(label)
-                   << "\", \"loop\": \""
-                   << sim::jsonEscape(loop.empty() ? "generic" : loop)
                    << "\", \"kilocycles_per_sec\": " << best
                    << ", \"baseline_kilocycles_per_sec\": " << base
                    << ", \"speedup\": " << speedup << " }";

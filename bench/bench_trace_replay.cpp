@@ -149,7 +149,6 @@ main()
                 std::max(bestReplay, ro.host.kiloCyclesPerSec());
         }
         const std::string label = execOuts.at(pi * reps).label;
-        const std::string& loop = replayOuts.at(pi * reps).loop;
         const double speedup = bestExec > 0.0 ? bestReplay / bestExec : 0.0;
         logSum += std::log(speedup);
         t.addRow({label, formatDouble(bestReplay, 1),
@@ -160,8 +159,6 @@ main()
             baselineJson << ",\n";
         }
         pointsJson << "    { \"label\": \"" << sim::jsonEscape(label)
-                   << "\", \"loop\": \""
-                   << sim::jsonEscape(loop.empty() ? "generic" : loop)
                    << "\", \"kilocycles_per_sec\": " << bestReplay
                    << ", \"baseline_kilocycles_per_sec\": " << bestExec
                    << ", \"speedup\": " << speedup << " }";

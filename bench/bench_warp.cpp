@@ -138,7 +138,6 @@ main()
         j << "{\n  \"bench\": \"warp\",\n"
           << "  \"shape_ok\": " << (ok ? "true" : "false") << ",\n"
           << "  \"fast\": " << (fast ? "true" : "false") << ",\n"
-          << "  \"loop\": \"" << full.loopVariant() << "\",\n"
           << "  \"workload\": \"mcf\",\n  \"design\": \"B2\",\n"
           << "  \"warmup_insts\": " << cfg.warmupInsts << ",\n"
           << "  \"measure_insts\": " << cfg.maxInsts << ",\n"

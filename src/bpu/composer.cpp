@@ -3,7 +3,6 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "bpu/specialize.hpp"
 #include "warp/state_bpu.hpp"
 #include "warp/state_util.hpp"
 
@@ -210,7 +209,6 @@ ComposedPredictor::makeContext(const QueryState& q, unsigned d) const
     return ctx;
 }
 
-template <bool Spec>
 void
 ComposedPredictor::applyComponent(QueryState& q, std::size_t idx,
                                   unsigned d, PredictionBundle& bundle,
@@ -244,15 +242,9 @@ ComposedPredictor::applyComponent(QueryState& q, std::size_t idx,
             }
             const std::span<const PredictionBundle> inSpan(
                 inputs.data(), inputs.size());
-            if constexpr (Spec)
-                ops_[ci]->arbitrate(comp, ctx, inSpan, out, q.metas_[ci]);
-            else
-                comp->arbitrate(ctx, inSpan, out, q.metas_[ci]);
+            comp->arbitrate(ctx, inSpan, out, q.metas_[ci]);
         } else {
-            if constexpr (Spec)
-                ops_[ci]->predict(comp, ctx, out, q.metas_[ci]);
-            else
-                comp->predict(ctx, out, q.metas_[ci]);
+            comp->predict(ctx, out, q.metas_[ci]);
         }
         res.out = out;
         for (unsigned i = 0; i < width_; ++i)
@@ -296,7 +288,7 @@ ComposedPredictor::evalNode(QueryState& q, std::size_t idx, unsigned d,
     const Topology::Node& n = topo_.node(idx);
     switch (n.kind) {
       case Topology::NodeKind::Leaf:
-        applyComponent<false>(q, idx, d, bundle, nullptr);
+        applyComponent(q, idx, d, bundle, nullptr);
         break;
       case Topology::NodeKind::Chain:
         // Children are listed highest-priority first; evaluate from
@@ -311,62 +303,10 @@ ComposedPredictor::evalNode(QueryState& q, std::size_t idx, unsigned d,
             if (!n.children.empty())
                 evalNode(q, n.children.front(), d, bundle);
         } else {
-            applyComponent<false>(q, idx, d, bundle, &n.children);
+            applyComponent(q, idx, d, bundle, &n.children);
         }
         break;
     }
-}
-
-void
-ComposedPredictor::buildPlan(std::size_t idx, unsigned d,
-                             std::vector<PlanStep>& out) const
-{
-    // Mirrors evalNode's walk exactly, with the d-vs-latency decisions
-    // resolved at build time: the plan for stage d is the sequence of
-    // applyComponent calls the generic walk performs, minus the pure
-    // pass-through calls (d < latency) that do nothing.
-    const Topology::Node& n = topo_.node(idx);
-    switch (n.kind) {
-      case Topology::NodeKind::Leaf:
-        if (d >= n.comp->latency())
-            out.push_back({static_cast<std::uint32_t>(idx), false});
-        break;
-      case Topology::NodeKind::Chain:
-        for (std::size_t i = n.children.size(); i-- > 0;)
-            buildPlan(n.children[i], d, out);
-        break;
-      case Topology::NodeKind::Arb:
-        if (d < n.comp->latency()) {
-            if (!n.children.empty())
-                buildPlan(n.children.front(), d, out);
-        } else {
-            out.push_back({static_cast<std::uint32_t>(idx), true});
-        }
-        break;
-    }
-}
-
-bool
-ComposedPredictor::specialize()
-{
-    if (specialized_)
-        return true;
-    SmallVector<const spec::CompOps*, 8> ops;
-    for (const auto* c : components_) {
-        const spec::CompOps* o = spec::opsFor(*c);
-        if (o == nullptr)
-            return false;
-        ops.push_back(o);
-    }
-    ops_ = ops;
-    plans_.clear();
-    for (unsigned d = 1; d <= maxLatency_; ++d) {
-        std::vector<PlanStep> plan;
-        buildPlan(topo_.root().idx, d, plan);
-        plans_.push_back(std::move(plan));
-    }
-    specialized_ = true;
-    return true;
 }
 
 PredictionBundle
@@ -380,19 +320,7 @@ ComposedPredictor::evaluateStage(QueryState& q, unsigned d)
     bundle.width = width_;
     if (q.pc_ == kInvalidAddr)
         return bundle;
-    if (specialized_) {
-        // Fused loop: the flattened plan for this stage (stages past
-        // the pipeline depth behave like the final stage — every
-        // component has responded by then).
-        const unsigned pd = d < maxLatency_ ? d : maxLatency_;
-        for (const PlanStep& s : plans_[pd - 1]) {
-            applyComponent<true>(q, s.node, d, bundle,
-                                 s.arb ? &topo_.node(s.node).children
-                                       : nullptr);
-        }
-    } else {
-        evalNode(q, topo_.root().idx, d, bundle);
-    }
+    evalNode(q, topo_.root().idx, d, bundle);
     // Slots beyond the packet's valid range never predict.
     for (unsigned i = q.validSlots_; i < width_; ++i)
         bundle.slots[i] = PredictionSlot{};
@@ -403,13 +331,6 @@ void
 ComposedPredictor::fire(FireEvent ev, MetadataBundle& metas)
 {
     assert(metas.size() == components_.size());
-    if (specialized_) {
-        for (std::size_t i = 0; i < components_.size(); ++i) {
-            ev.meta = &metas[i];
-            ops_[i]->fire(components_[i], ev);
-        }
-        return;
-    }
     for (std::size_t i = 0; i < components_.size(); ++i) {
         ev.meta = &metas[i];
         components_[i]->fire(ev);
@@ -420,13 +341,6 @@ void
 ComposedPredictor::mispredict(ResolveEvent ev, const MetadataBundle& metas)
 {
     assert(metas.size() == components_.size());
-    if (specialized_) {
-        for (std::size_t i = 0; i < components_.size(); ++i) {
-            ev.meta = &metas[i];
-            ops_[i]->mispredict(components_[i], ev);
-        }
-        return;
-    }
     for (std::size_t i = 0; i < components_.size(); ++i) {
         ev.meta = &metas[i];
         components_[i]->mispredict(ev);
@@ -437,13 +351,6 @@ void
 ComposedPredictor::repair(ResolveEvent ev, const MetadataBundle& metas)
 {
     assert(metas.size() == components_.size());
-    if (specialized_) {
-        for (std::size_t i = 0; i < components_.size(); ++i) {
-            ev.meta = &metas[i];
-            ops_[i]->repair(components_[i], ev);
-        }
-        return;
-    }
     for (std::size_t i = 0; i < components_.size(); ++i) {
         ev.meta = &metas[i];
         components_[i]->repair(ev);
@@ -454,13 +361,6 @@ void
 ComposedPredictor::update(ResolveEvent ev, const MetadataBundle& metas)
 {
     assert(metas.size() == components_.size());
-    if (specialized_) {
-        for (std::size_t i = 0; i < components_.size(); ++i) {
-            ev.meta = &metas[i];
-            ops_[i]->update(components_[i], ev);
-        }
-        return;
-    }
     for (std::size_t i = 0; i < components_.size(); ++i) {
         ev.meta = &metas[i];
         components_[i]->update(ev);
@@ -482,10 +382,7 @@ ComposedPredictor::updateBatch(ResolveEvent* evs,
             assert(metas[e]->size() == components_.size());
             ResolveEvent ev = evs[e];
             ev.meta = &(*metas[e])[i];
-            if (specialized_)
-                ops_[i]->update(components_[i], ev);
-            else
-                components_[i]->update(ev);
+            components_[i]->update(ev);
         }
     }
 }
@@ -493,11 +390,6 @@ ComposedPredictor::updateBatch(ResolveEvent* evs,
 void
 ComposedPredictor::prefetchAll(const PredictContext& ctx) const
 {
-    if (specialized_) {
-        for (std::size_t i = 0; i < components_.size(); ++i)
-            ops_[i]->prefetch(components_[i], ctx);
-        return;
-    }
     for (const auto* c : components_)
         c->prefetch(ctx);
 }

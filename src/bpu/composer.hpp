@@ -23,10 +23,6 @@ class StateWriter;
 class StateReader;
 } // namespace cobra::warp
 
-namespace cobra::bpu::spec {
-struct CompOps;
-} // namespace cobra::bpu::spec
-
 namespace cobra::bpu {
 
 /** Field groups a component can provide for a slot (pass-through
@@ -189,23 +185,6 @@ class ComposedPredictor
      */
     PredictionBundle evaluateStage(QueryState& q, unsigned d);
 
-    // ---- Specialized loops (bpu/specialize.hpp) ----------------------
-
-    /**
-     * Try to bind the devirtualized fused loop: succeeds when every
-     * component is one of the library's final component types
-     * (spec::opsFor). On success the evaluate/event hot paths run the
-     * flattened per-stage plan with direct calls; otherwise
-     * (guard-wrapped or out-of-library components) the generic path
-     * stays bound. Bit-identical either way — the fused loop shares
-     * the generic algorithm code and only changes call dispatch.
-     * Idempotent.
-     */
-    bool specialize();
-
-    /** True when the fused (devirtualized) loop is bound. */
-    bool specialized() const { return specialized_; }
-
     // ---- Event broadcast (management glue, §IV-B2) -------------------
 
     void fire(FireEvent ev, MetadataBundle& metas);
@@ -261,27 +240,14 @@ class ComposedPredictor
     bool usesLocalHistory() const;
 
   private:
-    /** One step of a flattened per-stage evaluation plan. */
-    struct PlanStep
-    {
-        std::uint32_t node = 0; ///< Topology node index.
-        bool arb = false;       ///< Apply as an arbiter (with children).
-    };
-
     /** Evaluate node @p idx at stage @p d, transforming @p bundle. */
     void evalNode(QueryState& q, std::size_t idx, unsigned d,
                   PredictionBundle& bundle);
 
-    /** Compute-or-replay node @p idx's component patch onto @p bundle.
-     *  @tparam Spec dispatch policy: devirtualized thunks vs virtual. */
-    template <bool Spec>
+    /** Compute-or-replay node @p idx's component patch onto @p bundle. */
     void applyComponent(QueryState& q, std::size_t idx, unsigned d,
                         PredictionBundle& bundle,
                         const std::vector<std::size_t>* arbChildren);
-
-    /** Record the tree walk evalNode would perform at stage @p d. */
-    void buildPlan(std::size_t idx, unsigned d,
-                   std::vector<PlanStep>& out) const;
 
     /** Index of @p comp in components_ (construction-time only). */
     std::size_t compIndex(const PredictorComponent* comp) const;
@@ -297,14 +263,6 @@ class ComposedPredictor
     std::vector<std::size_t> nodeCompIdx_;
     /** Attribution counters, one group per component (same index). */
     std::vector<std::unique_ptr<CompAttribution>> attribution_;
-
-    // ---- Specialized-loop bindings (empty until specialize()) --------
-
-    bool specialized_ = false;
-    /** Devirtualized call tables, parallel to components_. */
-    SmallVector<const spec::CompOps*, 8> ops_;
-    /** Flattened evaluation plans, one per stage d in [1, maxLatency]. */
-    std::vector<std::vector<PlanStep>> plans_;
 };
 
 /** Diff two slots; returns the ProvideMask of changed field groups. */

@@ -91,13 +91,6 @@ Simulator::Simulator(const prog::Program& program, bpu::Topology topo,
     caches_ = std::make_unique<core::CacheHierarchy>(cfg.caches);
     bpu_ = std::make_unique<bpu::BranchPredictorUnit>(std::move(topo),
                                                       cfg.bpu);
-    // Bind the fused (devirtualized) simulation loop unless the
-    // generic reference path was asked for. Guard wrappers installed
-    // above keep the generic path (they must observe every virtual
-    // call). Bit-identical either way.
-    if (cfg_.specialize != SpecializeMode::Off)
-        bpu_->predictor().specialize();
-
     frontend_ = std::make_unique<core::Frontend>(program, *oracle_, *bpu_,
                                                  *caches_, cfg.frontend);
     backend_ = std::make_unique<core::Backend>(*oracle_, *bpu_, *frontend_,

@@ -185,17 +185,6 @@ struct OutputConfig
     void validate() const;
 };
 
-/**
- * Specialized-loop selection. The fused (devirtualized) loop is
- * bit-identical to the generic path; Off exists so tests can run the
- * generic reference walk.
- */
-enum class SpecializeMode : std::uint8_t
-{
-    Auto, ///< Fuse unless a component is a guard or out-of-library type.
-    Off,  ///< Always run the generic (virtual-dispatch) path.
-};
-
 /** Full simulation configuration. */
 struct SimConfig
 {
@@ -208,10 +197,6 @@ struct SimConfig
     std::uint64_t warmupInsts = 50'000; ///< Stats reset after this.
     std::uint64_t maxCycles = 40'000'000;
     std::uint64_t oracleSeed = 0xD15EA5E;
-
-    /** Specialized-loop selection (cycle-exact either way); only
-     *  tests set Off, to run the generic reference path. */
-    SpecializeMode specialize = SpecializeMode::Auto;
 
     /**
      * When set, the oracle replays this captured trace instead of
@@ -335,18 +320,6 @@ class Simulator
     /** The pipeline event tracer; nullptr unless tracing is on. */
     scope::Tracer* tracer() { return tracer_.get(); }
     const scope::Tracer* tracer() const { return tracer_.get(); }
-
-    /**
-     * Which simulation loop this run uses: "specialized" when the
-     * fused (devirtualized) loop bound, "generic" otherwise. Exported
-     * into bench/sweep JSON so recorded throughput is attributable.
-     */
-    const char*
-    loopVariant() const
-    {
-        return bpu_->predictor().specialized() ? "specialized"
-                                               : "generic";
-    }
 
     bpu::BranchPredictorUnit& bpu() { return *bpu_; }
     core::Frontend& frontend() { return *frontend_; }

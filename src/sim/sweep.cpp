@@ -65,7 +65,6 @@ SweepEngine::runPoint(std::size_t idx, const SweepPoint& pt,
     try {
         Simulator s(*pt.program, pt.topology(), pt.cfg);
         out.result = pt.execute ? pt.execute(s) : s.run();
-        out.loop = s.loopVariant();
         out.host.simCycles = s.cycles();
         out.host.simInsts = s.backend().committedInsts();
         if (postRun) {
@@ -249,10 +248,7 @@ writeSweepJson(const std::string& path, const std::string& name,
         } else {
             writeResultFields(f, o.result, "      ",
                               /*trailing_comma=*/true);
-            f << "      \"loop\": \""
-              << jsonEscape(o.loop.empty() ? "generic" : o.loop)
-              << "\",\n"
-              << "      \"host\": {\n"
+            f << "      \"host\": {\n"
               << "        \"wall_seconds\": " << o.host.wallSeconds
               << ",\n"
               << "        \"sim_cycles\": " << o.host.simCycles << ",\n"

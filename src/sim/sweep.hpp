@@ -101,12 +101,6 @@ struct SweepOutcome
      * on success.
      */
     std::string errorClass;
-    /**
-     * Which simulation loop ran the point: "specialized" when the
-     * fused loop bound, "generic" otherwise (Simulator::loopVariant).
-     * Empty when the point failed before its Simulator was built.
-     */
-    std::string loop;
     /** Text captured from the post-run hook (stats/area dumps). */
     std::string postRunText;
     /** CobraScope: this point's stats document (JSON object), rendered

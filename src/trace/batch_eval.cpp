@@ -31,8 +31,6 @@ BatchTraceEvaluator::evaluate(const DecodedTrace& trace,
             TraceDrivenEvaluator ev(lanes[k].predictor(),
                                     lanes[k].ghistBits,
                                     lanes[k].lhistBits);
-            ev.specialize();
-            o.loop = ev.specialized() ? "specialized" : "generic";
             o.result = ev.evaluate(trace, warmup);
         } catch (...) {
             o.exception = std::current_exception();

@@ -48,8 +48,6 @@ struct BatchLaneResult
 {
     std::string label;
     TraceResult result;
-    /** "specialized" or "generic" — which loop the lane took. */
-    std::string loop;
     /** Set when the lane failed; result is then meaningless. */
     std::string error;
     /** guard::errorClassOf taxonomy class for a failed lane. */
@@ -81,10 +79,7 @@ class BatchTraceEvaluator
     /**
      * Evaluate every queued lane over @p trace, skipping the first
      * @p warmup conditional records exactly like
-     * TraceDrivenEvaluator::evaluate, and clear the lane set. Each
-     * lane binds its devirtualized loop when every component is a
-     * library type (bpu/specialize.hpp); results are bit-identical
-     * either way.
+     * TraceDrivenEvaluator::evaluate, and clear the lane set.
      */
     std::vector<BatchLaneResult> evaluate(const DecodedTrace& trace,
                                           std::size_t warmup = 0);

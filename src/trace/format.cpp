@@ -491,23 +491,6 @@ TraceReader::fileBytes() const
     return size_;
 }
 
-std::size_t
-TraceReader::findBlock(std::uint64_t idx) const
-{
-    if (idx >= meta_.recordCount)
-        fail("record index " + std::to_string(idx) +
-             " beyond record count " + std::to_string(meta_.recordCount));
-    std::size_t lo = 0, hi = index_.size() - 1;
-    while (lo < hi) {
-        const std::size_t mid = lo + (hi - lo + 1) / 2;
-        if (index_[mid].firstRecord <= idx)
-            lo = mid;
-        else
-            hi = mid - 1;
-    }
-    return lo;
-}
-
 void
 TraceReader::decodeBlock(std::size_t b, DecodedBlock& out) const
 {

@@ -208,9 +208,6 @@ class TraceReader
     /** Decode block @p b into @p out (strips are overwritten). */
     void decodeBlock(std::size_t b, DecodedBlock& out) const;
 
-    /** Block containing global record @p idx (binary search). */
-    std::size_t findBlock(std::uint64_t idx) const;
-
     /** FNV-1a over the whole file: the content-addressed cache key. */
     std::uint64_t contentDigest() const { return digest_; }
 

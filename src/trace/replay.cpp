@@ -107,76 +107,6 @@ TraceCursor::seek(std::uint64_t idx)
     pos_ = idx;
 }
 
-// ---- StreamCursor ------------------------------------------------------
-
-StreamCursor::StreamCursor(const std::string& path) : reader_(path) {}
-
-void
-StreamCursor::fail(const std::string& detail) const
-{
-    throw guard::CheckpointError(
-        "trace '" + reader_.meta().name + "' record " +
-            std::to_string(pos_),
-        detail);
-}
-
-void
-StreamCursor::ensureBlock()
-{
-    if (pos_ >= block_.firstRecord &&
-        pos_ < block_.firstRecord + block_.size() && block_.size() > 0) {
-        return;
-    }
-    // Block-index seek: decode exactly the block holding pos_.
-    reader_.decodeBlock(reader_.findBlock(pos_), block_);
-}
-
-std::uint8_t
-StreamCursor::expect(Addr pc, bool cond)
-{
-    if (pos_ >= reader_.recordCount()) {
-        fail("trace exhausted (captured for " +
-             std::to_string(reader_.meta().sourceInsts) +
-             " committed instructions)");
-    }
-    ensureBlock();
-    const std::size_t i =
-        static_cast<std::size_t>(pos_ - block_.firstRecord);
-    const std::uint8_t m = block_.meta[i];
-    const bool is_cond = DecodedBlock::typeOf(m) == RecordType::Cond;
-    if (is_cond != cond)
-        fail("record type desync (trace does not match this program)");
-    if (block_.pc[i] != pc)
-        fail("site desync (trace does not match this program)");
-    return m;
-}
-
-bool
-StreamCursor::nextCond(Addr pc)
-{
-    const std::uint8_t m = expect(pc, true);
-    ++pos_;
-    return DecodedBlock::takenOf(m);
-}
-
-Addr
-StreamCursor::nextIndirect(Addr pc)
-{
-    expect(pc, false);
-    const std::size_t i =
-        static_cast<std::size_t>(pos_ - block_.firstRecord);
-    ++pos_;
-    return block_.target[i];
-}
-
-void
-StreamCursor::seek(std::uint64_t idx)
-{
-    if (idx > reader_.recordCount())
-        fail("seek beyond the end of the trace");
-    pos_ = idx;
-}
-
 // ---- validateReplayMeta ------------------------------------------------
 
 void

@@ -9,10 +9,8 @@
  * blocks) and held by shared_ptr; every replica/point gets its own
  * tiny TraceCursor over the shared strips, so an N-point sweep pays
  * one decode per workload regardless of N (prog::WorkloadCache keys
- * decoded traces by content digest). StreamCursor is the low-memory
- * alternative: it decodes one block at a time straight off the mmap
- * and seeks through the block index — the path warp-style restores
- * use when a full decode is not wanted.
+ * decoded traces by content digest). Replay, warp restores and the
+ * trace-driven evaluators all read through this one decode.
  */
 
 #ifndef COBRA_TRACE_REPLAY_HPP
@@ -87,34 +85,6 @@ class TraceCursor final : public exec::CfSource
     std::uint8_t expect(Addr pc, bool cond);
 
     std::shared_ptr<const DecodedTrace> trace_;
-    std::uint64_t pos_ = 0;
-};
-
-/**
- * Replay cursor that owns its TraceReader and decodes one block at a
- * time from the mapped file; seek() binary-searches the block index
- * and decodes only the landing block. Bit-identical to TraceCursor
- * over the same file (tested), at O(block) memory instead of O(trace).
- */
-class StreamCursor final : public exec::CfSource
-{
-  public:
-    explicit StreamCursor(const std::string& path);
-
-    bool nextCond(Addr pc) override;
-    Addr nextIndirect(Addr pc) override;
-    void seek(std::uint64_t idx) override;
-    std::uint64_t position() const override { return pos_; }
-
-    const TraceMeta& meta() const { return reader_.meta(); }
-
-  private:
-    [[noreturn]] void fail(const std::string& detail) const;
-    std::uint8_t expect(Addr pc, bool cond);
-    void ensureBlock();
-
-    TraceReader reader_;
-    DecodedBlock block_;
     std::uint64_t pos_ = 0;
 };
 

@@ -71,13 +71,6 @@ class TraceDrivenEvaluator
                          unsigned lhist_bits = 32);
 
     /**
-     * Bind the devirtualized fused loop when every component is a
-     * library type (bpu/specialize.hpp); bit-identical either way.
-     */
-    bool specialize() { return pred_.specialize(); }
-    bool specialized() const { return pred_.specialized(); }
-
-    /**
      * Evaluate the conditional-branch records of @p trace; other
      * records (a captured trace's indirect jumps and calls) are
      * skipped, so a captured trace evaluates exactly like the

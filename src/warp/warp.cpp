@@ -215,7 +215,6 @@ runWarp(const prog::Program& program,
         est.detailedInsts += o.result.insts;
         est.detailedCycles += totalCycles[i];
         est.warmupCycles += totalCycles[i] - o.result.cycles;
-        est.loop = o.loop;
     }
 
     est.ipc = static_cast<double>(cfg.maxInsts) / estCycles;

@@ -139,9 +139,6 @@ struct WarpEstimate
     std::uint64_t warmupCycles = 0;
     /** Instructions measured in detail across all intervals. */
     std::uint64_t detailedInsts = 0;
-    /** Which simulation loop the intervals ran (Simulator::
-     *  loopVariant); one topology and config, so one loop for all. */
-    std::string loop;
 
     /**
      * CobraScope stat-group hierarchy (JSON object) of the last

@@ -2,9 +2,9 @@
  * @file
  * Batch-evaluation tests: the batch evaluator is only admissible as a
  * search tier if every lane's TraceResult is bit-identical to a solo
- * generic TraceDrivenEvaluator walk of the same design. The matrix:
+ * TraceDrivenEvaluator walk of the same design. The matrix:
  * every library component kind, lane counts {1, 3, 16}, warmup
- * offsets, specialized lanes vs generic serial walks, worker widths,
+ * offsets, preset and sampled search designs, worker widths,
  * a captured trace, lane error isolation, and the end-to-end
  * search-driver property (the frontier artifact does not change with
  * the worker count).
@@ -160,7 +160,7 @@ kindLanes()
     return lanes;
 }
 
-/** Solo reference walk of the same design (per-stage, generic). */
+/** Solo reference walk of the same design (per-stage). */
 trace::TraceResult
 serialResult(const std::function<bpu::ComposedPredictor()>& make,
              std::size_t warmup, unsigned ghist_bits = 64,
@@ -233,11 +233,10 @@ TEST(BatchEval, LaneCountsAndWarmupOffsetsMatchSerial)
     }
 }
 
-TEST(BatchEval, SpecializedLanesMatchGenericSerial)
+TEST(BatchEval, PresetAndSampledDesignLanesMatchSerial)
 {
-    // Presets and search samples are built from library component
-    // types only, so every lane must take the specialized loop — and
-    // still reproduce the generic serial walk exactly.
+    // Presets and search samples: every lane must reproduce the solo
+    // serial walk of its design exactly.
     std::vector<sim::DesignSpec> specs;
     for (sim::Design d : {sim::Design::Tourney, sim::Design::B2,
                           sim::Design::TageL})
@@ -264,7 +263,6 @@ TEST(BatchEval, SpecializedLanesMatchGenericSerial)
     ASSERT_EQ(outs.size(), makes.size());
     for (std::size_t i = 0; i < outs.size(); ++i) {
         ASSERT_TRUE(outs[i].ok()) << outs[i].error;
-        EXPECT_EQ(outs[i].loop, "specialized");
         expectSame(outs[i].result,
                    serialResult(makes[i], 1'000,
                                 specs[i].bpu.ghistBits,

@@ -2,7 +2,7 @@
  * @file
  * DesignSpec tests: lossless JSON round-trips, bit-identity between
  * spec-built and preset-built designs across the paper tuples and
- * their SFB/ghist/specialize variants, and the malformed-spec
+ * their SFB/ghist variants, and the malformed-spec
  * rejection table (every bad document is a structured ConfigError
  * naming the offending field, never a mis-built topology).
  */
@@ -44,13 +44,9 @@ allDesigns()
 
 /** Run one point and return (result, stats doc) for exact compares. */
 std::pair<sim::SimResult, std::string>
-runPoint(bpu::Topology topo, sim::SimConfig cfg, const std::string& wl,
-         const char* expect_loop = nullptr)
+runPoint(bpu::Topology topo, sim::SimConfig cfg, const std::string& wl)
 {
     sim::Simulator s(cache().get(wl), std::move(topo), cfg);
-    if (expect_loop != nullptr) {
-        EXPECT_STREQ(s.loopVariant(), expect_loop) << wl;
-    }
     const sim::SimResult r = s.run();
     return {r, sim::renderPointStats("p", s, r)};
 }
@@ -134,29 +130,6 @@ TEST(DesignSpec, SpecBuiltMatchesPresetBuiltAcrossVariants)
             EXPECT_EQ(sp, ss)
                 << sim::designName(d) << " variant " << v.name;
         }
-    }
-}
-
-TEST(DesignSpec, SpecBuiltDesignsStaySpecializable)
-{
-    // The fused loop binds on the component types, so a spec-built
-    // paper design must bind the same specialized loop as the
-    // preset-built one — and produce identical results under it.
-    for (sim::Design d : sim::paperDesigns()) {
-        const sim::DesignSpec spec = sim::presetSpec(d);
-        sim::SimConfig cfg = sim::makeConfig(spec);
-        cfg.warmupInsts = 2000;
-        cfg.maxInsts = 30'000;
-        cfg.specialize = sim::SpecializeMode::Auto;
-
-        sim::SimConfig off = cfg;
-        off.specialize = sim::SpecializeMode::Off;
-        const auto [rr, sr] = runPoint(sim::buildTopology(spec), cfg,
-                                       "mcf", "specialized");
-        const auto [ro, so] =
-            runPoint(sim::buildTopology(spec), off, "mcf", "generic");
-        EXPECT_EQ(rr, ro) << sim::designName(d);
-        EXPECT_EQ(sr, so) << sim::designName(d);
     }
 }
 

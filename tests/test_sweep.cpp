@@ -346,7 +346,6 @@ TEST(SweepJson, EmitsEveryPointWithHostBlock)
     engine.add(smallPoint(sim::Design::Tourney, "leela"));
     const auto outs = engine.run();
     ASSERT_TRUE(outs[0].ok()) << outs[0].error;
-    EXPECT_EQ(outs[0].loop, "specialized");
 
     const std::string path =
         ::testing::TempDir() + "/cobra_sweep_test.json";
@@ -362,9 +361,7 @@ TEST(SweepJson, EmitsEveryPointWithHostBlock)
               std::string::npos);
     EXPECT_NE(doc.find("\"kilocycles_per_sec\""), std::string::npos);
     EXPECT_NE(doc.find("\"cond_mispredicts\""), std::string::npos);
-    // The loop variant is the last per-point field: the host block
-    // follows it directly, with no schedule field in between.
-    EXPECT_NE(doc.find("\"loop\": \"specialized\",\n      \"host\": {"),
+    EXPECT_NE(doc.find("      \"host\": {\n        \"wall_seconds\": "),
               std::string::npos);
 }
 

@@ -2,7 +2,7 @@
  * @file
  * Binary trace container (trace/format.hpp) and importer
  * (trace/convert.hpp) tests: write/read round trips across block
- * boundaries, the seekable index, cursor equivalence, structured
+ * boundaries, the seekable index, cursor walks and seeks, structured
  * rejection of every corruption class, content-addressed digests, and
  * golden-fixture round trips for the CBP text and bzip2'd Alpha
  * import formats.
@@ -178,57 +178,33 @@ TEST(TraceFormat, EmptyTraceRoundTrips)
     EXPECT_EQ(trace::loadTrace(path)->size(), 0u);
 }
 
-TEST(TraceFormat, FindBlockLocatesEveryRecord)
-{
-    const std::string dir = scratchDir("cobra_fmt_find");
-    const auto recs = syntheticRecords(
-        3 * trace::TraceFile::kBlockRecords + 17, 0xEF);
-    trace::TraceReader reader(writeTrace(dir + "/t.cbtr", recs));
-
-    const std::uint64_t kBlk = trace::TraceFile::kBlockRecords;
-    for (std::uint64_t idx :
-         {std::uint64_t(0), kBlk - 1, kBlk, 2 * kBlk + 5,
-          std::uint64_t(recs.size() - 1)}) {
-        const std::size_t b = reader.findBlock(idx);
-        EXPECT_LE(reader.blockFirstRecord(b), idx);
-        EXPECT_LT(idx,
-                  reader.blockFirstRecord(b) + reader.blockRecords(b));
-    }
-}
-
-TEST(TraceFormat, StreamCursorMatchesTraceCursorIncludingSeeks)
+TEST(TraceFormat, TraceCursorWalksAndSeeksAcrossBlocks)
 {
     const std::string dir = scratchDir("cobra_fmt_cur");
     const auto recs = syntheticRecords(
         2 * trace::TraceFile::kBlockRecords + 99, 0x11);
-    const std::string path = writeTrace(dir + "/t.cbtr", recs);
+    trace::TraceCursor c(
+        trace::loadTrace(writeTrace(dir + "/t.cbtr", recs)));
 
-    const auto dec = trace::loadTrace(path);
-    trace::TraceCursor a(dec);
-    trace::StreamCursor b(path);
-
-    auto pump = [&](exec::CfSource& c, std::size_t i) {
+    auto pump = [&](std::size_t i) {
         if (recs[i].type == trace::RecordType::Cond)
             return c.nextCond(recs[i].pc) == recs[i].taken;
         return c.nextIndirect(recs[i].pc) == recs[i].target;
     };
-    // Forward walk.
+    // Forward walk across the first block boundary.
     for (std::size_t i = 0; i < 6000; ++i) {
-        EXPECT_TRUE(pump(a, i)) << i;
-        EXPECT_TRUE(pump(b, i)) << i;
-        EXPECT_EQ(a.position(), b.position());
+        EXPECT_TRUE(pump(i)) << i;
+        EXPECT_EQ(c.position(), i + 1);
     }
     // Seek backwards across a block boundary (the warp-restore path)
     // and to the tail.
     const std::uint64_t kBlk = trace::TraceFile::kBlockRecords;
     for (std::uint64_t s : {std::uint64_t(10), kBlk + 3,
                             std::uint64_t(recs.size() - 4)}) {
-        a.seek(s);
-        b.seek(s);
-        for (std::size_t i = s; i < s + 3; ++i) {
-            EXPECT_TRUE(pump(a, i)) << i;
-            EXPECT_TRUE(pump(b, i)) << i;
-        }
+        c.seek(s);
+        for (std::size_t i = s; i < s + 3; ++i)
+            EXPECT_TRUE(pump(i)) << i;
+        EXPECT_EQ(c.position(), s + 3);
     }
 }
 

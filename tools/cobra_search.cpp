@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_flags.hpp"
 #include "program/workload.hpp"
 #include "search/driver.hpp"
 
@@ -66,60 +67,13 @@ usage()
         "  --help\n";
 }
 
-std::uint64_t
-parseU64(const std::string& flag, const std::string& v)
-{
-    try {
-        std::size_t end = 0;
-        const std::uint64_t n = std::stoull(v, &end, 0); // 0x ok
-        if (end != v.size())
-            throw std::invalid_argument(v);
-        return n;
-    } catch (const std::exception&) {
-        throw std::runtime_error("invalid number for " + flag + ": '" +
-                                 v + "'");
-    }
-}
-
-double
-parseDouble(const std::string& flag, const std::string& v)
-{
-    try {
-        std::size_t end = 0;
-        const double d = std::stod(v, &end);
-        if (end != v.size())
-            throw std::invalid_argument(v);
-        return d;
-    } catch (const std::exception&) {
-        throw std::runtime_error("invalid number for " + flag + ": '" +
-                                 v + "'");
-    }
-}
-
-std::vector<std::string>
-splitList(const std::string& s)
-{
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    while (start <= s.size()) {
-        const std::size_t comma = s.find(',', start);
-        const std::size_t end =
-            comma == std::string::npos ? s.size() : comma;
-        if (end > start)
-            out.push_back(s.substr(start, end - start));
-        if (comma == std::string::npos)
-            break;
-        start = comma + 1;
-    }
-    return out;
-}
-
 } // namespace
 
 int
 main(int argc, char** argv)
 {
     using namespace cobra;
+    using namespace cobra::cli;
 
     search::SearchConfig cfg;
     std::string outPath;
@@ -134,27 +88,23 @@ main(int argc, char** argv)
             if (a == "--search-seed")
                 cfg.seed = parseU64(a, next());
             else if (a == "--pool")
-                cfg.pool = static_cast<unsigned>(parseU64(a, next()));
+                cfg.pool = parseUnsigned(a, next());
             else if (a == "--budget-kb")
                 cfg.budget.storageKb = parseU64(a, next());
             else if (a == "--budget-um2")
                 cfg.budget.areaUm2 = parseDouble(a, next());
             else if (a == "--workload")
-                cfg.workloads = splitList(next());
+                cfg.workloads = splitList(a, next());
             else if (a == "--no-anchors")
                 cfg.anchors = false;
             else if (a == "--seed-evals")
-                cfg.seedEvals =
-                    static_cast<unsigned>(parseU64(a, next()));
+                cfg.seedEvals = parseUnsigned(a, next());
             else if (a == "--survivors")
-                cfg.functionalSurvivors =
-                    static_cast<unsigned>(parseU64(a, next()));
+                cfg.functionalSurvivors = parseUnsigned(a, next());
             else if (a == "--warp-survivors")
-                cfg.warpSurvivors =
-                    static_cast<unsigned>(parseU64(a, next()));
+                cfg.warpSurvivors = parseUnsigned(a, next());
             else if (a == "--finalists")
-                cfg.finalists =
-                    static_cast<unsigned>(parseU64(a, next()));
+                cfg.finalists = parseUnsigned(a, next());
             else if (a == "--trace-branches")
                 cfg.traceBranches = parseU64(a, next());
             else if (a == "--trace-warmup")
@@ -162,8 +112,7 @@ main(int argc, char** argv)
             else if (a == "--warp-insts")
                 cfg.warpInsts = parseU64(a, next());
             else if (a == "--intervals")
-                cfg.warpIntervals =
-                    static_cast<unsigned>(parseU64(a, next()));
+                cfg.warpIntervals = parseUnsigned(a, next());
             else if (a == "--sample-insts")
                 cfg.warpSampleInsts = parseU64(a, next());
             else if (a == "--insts")
@@ -173,7 +122,7 @@ main(int argc, char** argv)
             else if (a == "--ridge-lambda")
                 cfg.ridgeLambda = parseDouble(a, next());
             else if (a == "--jobs")
-                cfg.jobs = static_cast<unsigned>(parseU64(a, next()));
+                cfg.jobs = parseUnsigned(a, next());
             else if (a == "--out")
                 outPath = next();
             else if (a == "--progress")

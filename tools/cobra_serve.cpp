@@ -32,6 +32,7 @@
 #include <iostream>
 #include <string>
 
+#include "cli_flags.hpp"
 #include "serve/daemon.hpp"
 
 namespace {
@@ -71,26 +72,13 @@ usage()
         "  --verbose          log admissions/retirements to stderr\n";
 }
 
-std::uint64_t
-parseU64(const std::string& flag, const std::string& v)
-{
-    try {
-        std::size_t end = 0;
-        const std::uint64_t n = std::stoull(v, &end, 0);
-        if (end != v.size())
-            throw std::invalid_argument(v);
-        return n;
-    } catch (const std::exception&) {
-        throw std::runtime_error("invalid number for " + flag + ": '" +
-                                 v + "'");
-    }
-}
-
 } // namespace
 
 int
 main(int argc, char** argv)
 {
+    using namespace cobra::cli;
+
     cobra::serve::ServeConfig cfg;
     try {
         for (int i = 1; i < argc; ++i) {
@@ -103,7 +91,7 @@ main(int argc, char** argv)
             if (a == "--spool")
                 cfg.spoolRoot = next();
             else if (a == "--jobs")
-                cfg.jobs = static_cast<unsigned>(parseU64(a, next()));
+                cfg.jobs = parseUnsigned(a, next());
             else if (a == "--once")
                 cfg.once = true;
             else if (a == "--poll-ms")

@@ -35,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_flags.hpp"
 #include "common/table.hpp"
 #include "guard/errors.hpp"
 #include "program/workload.hpp"
@@ -47,6 +48,7 @@
 #include "warp/warp.hpp"
 
 using namespace cobra;
+using namespace cobra::cli;
 
 namespace {
 
@@ -157,36 +159,6 @@ parseGhist(const std::string& s)
     throw std::runtime_error("unknown ghist mode: " + s);
 }
 
-std::uint64_t
-parseU64(const std::string& flag, const std::string& v)
-{
-    try {
-        std::size_t end = 0;
-        const std::uint64_t n = std::stoull(v, &end, 0); // 0x ok
-        if (end != v.size())
-            throw std::invalid_argument(v);
-        return n;
-    } catch (const std::exception&) {
-        throw std::runtime_error("invalid number for " + flag + ": '" +
-                                 v + "'");
-    }
-}
-
-double
-parseDouble(const std::string& flag, const std::string& v)
-{
-    try {
-        std::size_t end = 0;
-        const double d = std::stod(v, &end);
-        if (end != v.size())
-            throw std::invalid_argument(v);
-        return d;
-    } catch (const std::exception&) {
-        throw std::runtime_error("invalid number for " + flag + ": '" +
-                                 v + "'");
-    }
-}
-
 void
 printWarpEstimate(const warp::WarpEstimate& est, bool sfb,
                   double fault_rate, bool audit)
@@ -226,27 +198,6 @@ printWarpEstimate(const warp::WarpEstimate& est, bool sfb,
         row("contract checks",
             std::to_string(est.estimate.auditChecks));
     t.print(std::cout);
-}
-
-std::vector<std::string>
-splitList(const std::string& s)
-{
-    std::vector<std::string> out;
-    std::string cur;
-    for (char c : s) {
-        if (c == ',') {
-            if (!cur.empty())
-                out.push_back(cur);
-            cur.clear();
-        } else {
-            cur += c;
-        }
-    }
-    if (!cur.empty())
-        out.push_back(cur);
-    if (out.empty())
-        throw std::runtime_error("empty list: '" + s + "'");
-    return out;
 }
 
 int
@@ -317,12 +268,11 @@ runMain(int argc, char** argv)
             else if (a == "--deadlock-cycles")
                 deadlockCycles = parseU64(a, next());
             else if (a == "--jobs")
-                jobs = static_cast<unsigned>(parseU64(a, next()));
+                jobs = parseUnsigned(a, next());
             else if (a == "--warp")
                 warpMode = true;
             else if (a == "--intervals")
-                wcfg.intervals =
-                    static_cast<unsigned>(parseU64(a, next()));
+                wcfg.intervals = parseUnsigned(a, next());
             else if (a == "--warmup-cycles")
                 wcfg.warmupCycles = parseU64(a, next());
             else if (a == "--sample-insts")
@@ -369,12 +319,12 @@ runMain(int argc, char** argv)
         // construction path; --design-spec alone replaces the preset
         // default rather than adding to it.
         if (specArg.empty() || designSet)
-            for (const std::string& d : splitList(designArg))
+            for (const std::string& d : splitList("--design", designArg))
                 designs.push_back(sim::presetSpec(d));
         if (!specArg.empty())
-            for (const std::string& f : splitList(specArg))
+            for (const std::string& f : splitList("--design-spec", specArg))
                 designs.push_back(loadSpecFile(f));
-        workloads = splitList(workloadArg);
+        workloads = splitList("--workload", workloadArg);
         if (!captureTracePath.empty()) {
             if (!replayTracePath.empty()) {
                 throw std::runtime_error(
@@ -553,7 +503,6 @@ runMain(int argc, char** argv)
                 const warp::WarpEstimate est =
                     warp::runWarp(*pt.program, pt.topology, pt.cfg, w);
                 o.result = est.estimate;
-                o.loop = est.loop;
                 o.host.simCycles = est.detailedCycles;
                 o.host.simInsts = est.detailedInsts;
                 if (!out.statsJsonPath.empty()) {

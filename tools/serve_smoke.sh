@@ -6,8 +6,9 @@
 #   1. a mixed spool: a healthy grid, a fault-injected grid, and an
 #      invalid request — per-point records, schema-valid result and
 #      status documents, explicit rejection;
-#   2. graceful drain: SIGTERM mid-run exits 0 with a checkpointed
-#      journal and a "stopped" status document;
+#   2. graceful drain: SIGTERM once the first point is journaled exits
+#      0 with a checkpointed journal, a "stopped" status document and
+#      interrupted work left queued or parked;
 #   3. crash recovery: kill -9 mid-run, restart on the same spool,
 #      and verify the journaled points were republished verbatim
 #      rather than re-simulated;
@@ -29,6 +30,20 @@ die() { printf 'serve_smoke: FAIL: %s\n' "$*" >&2; exit 1; }
 submit() { # submit <spool> <name> <json-text>
     printf '%s' "$3" > "$1/incoming/$2.tmp"
     mv "$1/incoming/$2.tmp" "$1/incoming/$2"
+}
+
+# await_point <spool> <pid>: wait until the daemon <pid> journals its
+# first completed point; kill it and fail after 20 s.
+await_point() {
+    for _ in $(seq 1 200); do
+        if [ -f "$1/journal.log" ] \
+            && grep -q '"ev": "point"' "$1/journal.log"; then
+            return 0
+        fi
+        sleep 0.1
+    done
+    kill -9 "$2" 2>/dev/null || true
+    die "no point completed within 20 s"
 }
 
 # ---------------------------------------------------------------------
@@ -98,7 +113,9 @@ done
 
 "$SERVE" --spool "$S2" --jobs 2 --poll-ms 50 &
 PID=$!
-sleep 2
+# Signal on the first journaled point, not after a fixed sleep: a
+# fast build can retire all four requests in a couple of seconds.
+await_point "$S2" "$PID"
 kill -TERM "$PID"
 if ! wait "$PID"; then die "daemon exited non-zero on SIGTERM"; fi
 
@@ -107,8 +124,9 @@ python3 - "$S2" <<'EOF'
 import json, sys
 status = json.load(open(f"{sys.argv[1]}/status.json"))
 assert status["state"] == "stopped", status["state"]
+assert status["queued"] + status["parked"] >= 1, status
 print(f"leg 2 OK: clean drain, retired={status['retired']}, "
-      f"parked={status['parked']}")
+      f"queued={status['queued']}, parked={status['parked']}")
 EOF
 [ -s "$S2/journal.log" ] || die "drain left no checkpointed journal"
 
@@ -126,16 +144,7 @@ submit "$S3" recover.json '{
 
 "$SERVE" --spool "$S3" --jobs 1 --poll-ms 50 &
 PID=$!
-# Wait until the journal shows at least one completed point.
-for _ in $(seq 1 200); do
-    if [ -f "$S3/journal.log" ] \
-        && grep -q '"ev": "point"' "$S3/journal.log"; then
-        break
-    fi
-    sleep 0.1
-done
-grep -q '"ev": "point"' "$S3/journal.log" \
-    || die "no point completed before the hard kill"
+await_point "$S3" "$PID"
 kill -9 "$PID"
 wait "$PID" 2>/dev/null || true
 

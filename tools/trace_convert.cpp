@@ -24,6 +24,7 @@
 #include <iostream>
 #include <string>
 
+#include "cli_flags.hpp"
 #include "trace/convert.hpp"
 #include "trace/format.hpp"
 #include "trace/replay.hpp"
@@ -161,12 +162,11 @@ runMain(int argc, char** argv)
             else if (a == "--name")
                 name = next();
             else if (a == "--fetch-width")
-                fetchWidth = static_cast<unsigned>(
-                    std::stoul(next(), nullptr, 0));
+                fetchWidth = cli::parseUnsigned(a, next());
             else if (a == "--dump")
                 dumpPath = next();
             else if (a == "--limit") {
-                limit = std::stoull(next(), nullptr, 0);
+                limit = cli::parseU64(a, next());
                 limitSet = true;
             } else if (a == "--help" || a == "-h") {
                 usage();
