@@ -147,9 +147,7 @@ main()
     }();
     const std::size_t branches = fast ? 20'000 : 60'000;
     const std::size_t warmup = fast ? 5'000 : 15'000;
-    unsigned reps = 3;
-    if (const char* env = std::getenv("COBRA_THROUGHPUT_REPS"))
-        reps = std::max(1u, static_cast<unsigned>(std::atoi(env)));
+    const unsigned reps = bench::throughputReps(3);
 
     const std::vector<sim::DesignSpec> specs = makeLaneSpecs();
 

@@ -83,9 +83,7 @@ main()
     bool ok = true;
     prog::WorkloadCache cache;
 
-    unsigned reps = 5;
-    if (const char* env = std::getenv("COBRA_THROUGHPUT_REPS"))
-        reps = std::max(1u, static_cast<unsigned>(std::atoi(env)));
+    const unsigned reps = bench::throughputReps(5);
 
     // ---- 1. Single-thread loop throughput vs committed baseline -------
     std::string baselinePath;

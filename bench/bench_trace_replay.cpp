@@ -33,7 +33,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -82,9 +81,7 @@ main()
     bool ok = true;
     prog::WorkloadCache cache;
 
-    unsigned reps = 5;
-    if (const char* env = std::getenv("COBRA_THROUGHPUT_REPS"))
-        reps = std::max(1u, static_cast<unsigned>(std::atoi(env)));
+    const unsigned reps = bench::throughputReps(5);
 
     const std::filesystem::path scratch =
         std::filesystem::temp_directory_path() /

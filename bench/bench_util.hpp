@@ -11,6 +11,7 @@
 #define COBRA_BENCH_BENCH_UTIL_HPP
 
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <iostream>
 #include <sstream>
@@ -46,6 +47,36 @@ struct RunScale
         return s;
     }
 };
+
+/** Largest repetition count throughputReps() accepts. */
+inline constexpr unsigned kMaxThroughputReps = 1000;
+
+/**
+ * Repetition count for the throughput harnesses: COBRA_THROUGHPUT_REPS
+ * when set, else @p fallback. Anything but a whole number in
+ * [1, kMaxThroughputReps] exits 2 with a message naming the variable,
+ * so "-1" cannot wrap to 4294967295 repetitions and "abc" cannot
+ * silently read as 1.
+ */
+inline unsigned
+throughputReps(unsigned fallback)
+{
+    const char* env = std::getenv("COBRA_THROUGHPUT_REPS");
+    if (env == nullptr)
+        return fallback;
+    const std::string text(env);
+    unsigned long n = 0;
+    if (!text.empty() && text.size() <= 9 &&
+        text.find_first_not_of("0123456789") == std::string::npos)
+        n = std::stoul(text);
+    if (n < 1 || n > kMaxThroughputReps) {
+        std::cerr << "COBRA_THROUGHPUT_REPS: '" << text
+                  << "' is not a repetition count in [1, "
+                  << kMaxThroughputReps << "]\n";
+        std::exit(2);
+    }
+    return static_cast<unsigned>(n);
+}
 
 /** Cache of built workloads (kept as an alias for older call sites). */
 using WorkloadCache = prog::WorkloadCache;

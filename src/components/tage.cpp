@@ -398,20 +398,31 @@ Tage::prefetch(const bpu::PredictContext& ctx) const
     }
 }
 
+// Each table travels as one block. Per row: the bytes of
+// boolean(valid), u32(tag), u8(u), u64(fetchWidth), then fetchWidth
+// u32 counter values.
+constexpr std::size_t kRowHeadBytes = 1 + 4 + 1 + 8;
+
 void
 Tage::saveState(warp::StateWriter& w) const
 {
+    const std::size_t fw = fetchWidth();
+    const std::size_t rowBytes = kRowHeadBytes + 4 * fw;
     w.u64(tables_.size());
     for (const Table& t : tables_) {
         w.u64(t.rows.size());
+        std::uint8_t* p = w.block(t.rows.size() * rowBytes);
         for (std::size_t ri = 0; ri < t.rows.size(); ++ri) {
             const Row& row = t.rows[ri];
-            w.boolean(row.valid);
-            w.u32(row.tag);
-            w.u8(row.u);
-            w.u64(fetchWidth());
-            for (unsigned s = 0; s < fetchWidth(); ++s)
-                warp::saveSat(w, t.ctrs[ri * fetchWidth() + s]);
+            p[0] = row.valid ? 1 : 0;
+            warp::storeLE(p + 1, row.tag);
+            p[5] = row.u;
+            warp::storeLE<std::uint64_t>(p + 6, fw);
+            for (std::size_t s = 0; s < fw; ++s) {
+                warp::storeLE<std::uint32_t>(p + kRowHeadBytes + 4 * s,
+                                             t.ctrs[ri * fw + s].value());
+            }
+            p += rowBytes;
         }
     }
     warp::saveSigned(w, useAltOnNa_);
@@ -422,20 +433,27 @@ Tage::saveState(warp::StateWriter& w) const
 void
 Tage::restoreState(warp::StateReader& r)
 {
+    const std::size_t fw = fetchWidth();
+    const std::size_t rowBytes = kRowHeadBytes + 4 * fw;
     if (r.u64() != tables_.size())
         r.fail("TAGE table count does not match");
     for (Table& t : tables_) {
         if (r.u64() != t.rows.size())
             r.fail("TAGE row count does not match");
+        const std::uint8_t* p = r.block(t.rows.size() * rowBytes);
         for (std::size_t ri = 0; ri < t.rows.size(); ++ri) {
             Row& row = t.rows[ri];
-            row.valid = r.boolean();
-            row.tag = r.u32();
-            row.u = r.u8();
-            if (r.u64() != fetchWidth())
+            row.valid = r.checkedBool(p[0]);
+            row.tag = warp::loadLE<std::uint32_t>(p + 1);
+            row.u = p[5];
+            if (warp::loadLE<std::uint64_t>(p + 6) != fw)
                 r.fail("TAGE counter count does not match");
-            for (unsigned s = 0; s < fetchWidth(); ++s)
-                warp::loadSat(r, t.ctrs[ri * fetchWidth() + s]);
+            for (std::size_t s = 0; s < fw; ++s) {
+                warp::setSat(r, t.ctrs[ri * fw + s],
+                             warp::loadLE<std::uint32_t>(
+                                 p + kRowHeadBytes + 4 * s));
+            }
+            p += rowBytes;
         }
     }
     warp::loadSigned(r, useAltOnNa_);

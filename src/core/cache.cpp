@@ -147,14 +147,20 @@ CacheHierarchy::storeAccess(Addr addr)
     return 1;
 }
 
+// The line array is the bulk of a checkpoint, so it travels as one
+// block: per line the bytes of boolean(valid), u64(tag), u64(lruStamp).
+constexpr std::size_t kLineStateBytes = 1 + 8 + 8;
+
 void
 Cache::saveState(warp::StateWriter& w) const
 {
     w.u64(lines_.size());
+    std::uint8_t* p = w.block(lines_.size() * kLineStateBytes);
     for (const Line& l : lines_) {
-        w.boolean(l.valid);
-        w.u64(l.tag);
-        w.u64(l.lruStamp);
+        p[0] = l.valid ? 1 : 0;
+        warp::storeLE(p + 1, l.tag);
+        warp::storeLE(p + 9, l.lruStamp);
+        p += kLineStateBytes;
     }
     w.u64(stamp_);
 }
@@ -164,10 +170,12 @@ Cache::restoreState(warp::StateReader& r)
 {
     if (r.u64() != lines_.size())
         r.fail("cache line count does not match this configuration");
+    const std::uint8_t* p = r.block(lines_.size() * kLineStateBytes);
     for (Line& l : lines_) {
-        l.valid = r.boolean();
-        l.tag = r.u64();
-        l.lruStamp = r.u64();
+        l.valid = r.checkedBool(p[0]);
+        l.tag = warp::loadLE<std::uint64_t>(p + 1);
+        l.lruStamp = warp::loadLE<std::uint64_t>(p + 9);
+        p += kLineStateBytes;
     }
     stamp_ = r.u64();
 }

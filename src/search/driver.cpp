@@ -427,22 +427,39 @@ runSearch(const SearchConfig& cfg, prog::WorkloadCache& cache)
                 warpSet.push_back(i);
         }
     }
+    // Every (candidate, workload) warp run goes to the pool as one
+    // batch (warp/warp.hpp: runWarps), so one run's serial
+    // fast-forward overlaps the others. Outcomes come back
+    // candidate-major; each depends only on its own job, so the
+    // frontier artifact is the same at any --jobs.
+    warp::WarpConfig wcfg;
+    wcfg.intervals = cfg.warpIntervals;
+    wcfg.warmupCycles = cfg.warpWarmupCycles;
+    wcfg.sampleInsts = cfg.warpSampleInsts;
+    std::vector<warp::WarpJob> warpJobs;
     for (std::size_t i : warpSet) {
-        auto& c = r.candidates[i];
-        warp::WarpConfig wcfg;
-        wcfg.intervals = cfg.warpIntervals;
-        wcfg.warmupCycles = cfg.warpWarmupCycles;
-        wcfg.sampleInsts = cfg.warpSampleInsts;
-        wcfg.jobs = cfg.jobs;
-        WarpMetrics m;
+        const sim::DesignSpec& spec = r.candidates[i].spec;
         for (const auto& w : cfg.workloads) {
-            sim::SimConfig scfg = sim::makeConfig(c.spec);
-            scfg.maxInsts = cfg.warpInsts;
-            const sim::DesignSpec& spec = c.spec;
-            const warp::WarpEstimate est = warp::runWarp(
-                cache.get(w),
-                [&spec] { return sim::buildTopology(spec); }, scfg,
-                wcfg);
+            warp::WarpJob job{&cache.get(w),
+                              [&spec] { return sim::buildTopology(spec); },
+                              sim::makeConfig(spec), wcfg};
+            job.cfg.maxInsts = cfg.warpInsts;
+            warpJobs.push_back(std::move(job));
+        }
+    }
+    const std::vector<warp::WarpOutcome> warpOuts =
+        warp::runWarps(warpJobs, cfg.jobs);
+    // The first failure in candidate-then-workload order fails the
+    // search with its original exception.
+    for (const warp::WarpOutcome& o : warpOuts)
+        if (o.exception)
+            std::rethrow_exception(o.exception);
+    for (std::size_t k = 0; k < warpSet.size(); ++k) {
+        auto& c = r.candidates[warpSet[k]];
+        WarpMetrics m;
+        for (std::size_t wi = 0; wi < cfg.workloads.size(); ++wi) {
+            const warp::WarpEstimate& est =
+                warpOuts[k * cfg.workloads.size() + wi].estimate;
             m.ipc += est.ipc;
             m.mpki += est.mpki;
             m.ipcCi95 += est.ipcCi95;

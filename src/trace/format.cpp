@@ -20,38 +20,12 @@ namespace cobra::trace {
 namespace {
 
 // ---- little-endian scalar access into raw byte buffers ----------------
+// The warp checkpoint codec's helpers: both formats are little-endian.
 
-void
-putU32(std::uint8_t* p, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        p[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-
-void
-putU64(std::uint8_t* p, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        p[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-
-std::uint32_t
-getU32(const std::uint8_t* p)
-{
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-    return v;
-}
-
-std::uint64_t
-getU64(const std::uint8_t* p)
-{
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    return v;
-}
+constexpr auto& putU32 = warp::storeLE<std::uint32_t>;
+constexpr auto& putU64 = warp::storeLE<std::uint64_t>;
+constexpr auto& getU32 = warp::loadLE<std::uint32_t>;
+constexpr auto& getU64 = warp::loadLE<std::uint64_t>;
 
 // ---- varint / zigzag ---------------------------------------------------
 

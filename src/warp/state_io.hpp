@@ -13,11 +13,19 @@
  * the same fields in the same order. Sections exist to turn "the
  * stream drifted" into a named, structured error at the first
  * divergent unit rather than a silent state corruption.
+ *
+ * The writer grows its buffer once per primitive. Large tables (cache
+ * line arrays, TAGE rows) go one step further: block() hands out a
+ * whole table's bytes at once and the table encodes its elements in
+ * place with storeLE/loadLE, in exactly the bytes the per-primitive
+ * calls would have produced, so the format does not depend on which
+ * path wrote it.
  */
 
 #ifndef COBRA_WARP_STATE_IO_HPP
 #define COBRA_WARP_STATE_IO_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -30,6 +38,28 @@ namespace cobra::warp {
 
 /** FNV-1a 64-bit over a byte range; the archive payload checksum. */
 std::uint64_t fnv1a(const std::uint8_t* data, std::size_t size);
+
+/** Store @p v at @p p as sizeof(T) little-endian bytes. */
+template <typename T>
+inline void
+storeLE(std::uint8_t* p, T v)
+{
+    static_assert(std::is_unsigned_v<T>);
+    for (std::size_t i = 0; i < sizeof(T); ++i)
+        p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+/** Load sizeof(T) little-endian bytes from @p p. */
+template <typename T>
+inline T
+loadLE(const std::uint8_t* p)
+{
+    static_assert(std::is_unsigned_v<T>);
+    T v = 0;
+    for (std::size_t i = 0; i < sizeof(T); ++i)
+        v |= static_cast<T>(static_cast<T>(p[i]) << (8 * i));
+    return v;
+}
 
 /** Serializes primitives and tagged sections into a byte buffer. */
 class StateWriter
@@ -46,15 +76,13 @@ class StateWriter
     void
     u32(std::uint32_t v)
     {
-        for (int i = 0; i < 4; ++i)
-            buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+        storeLE(block(4), v);
     }
 
     void
     u64(std::uint64_t v)
     {
-        for (int i = 0; i < 8; ++i)
-            buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+        storeLE(block(8), v);
     }
 
     void
@@ -94,6 +122,18 @@ class StateWriter
         u64(v.size());
         for (const T& x : v)
             u64(static_cast<std::uint64_t>(x));
+    }
+
+    /**
+     * Append @p n bytes and return where they start; the caller fills
+     * them before the next write (which may move the buffer).
+     */
+    std::uint8_t*
+    block(std::size_t n)
+    {
+        const std::size_t at = buf_.size();
+        buf_.resize(at + n);
+        return buf_.data() + at;
     }
 
     /**
@@ -146,21 +186,13 @@ class StateReader
     std::uint32_t
     u32()
     {
-        need(4);
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(data_[pos_++]) << (8 * i);
-        return v;
+        return loadLE<std::uint32_t>(block(4));
     }
 
     std::uint64_t
     u64()
     {
-        need(8);
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(data_[pos_++]) << (8 * i);
-        return v;
+        return loadLE<std::uint64_t>(block(8));
     }
 
     std::int64_t
@@ -172,7 +204,13 @@ class StateReader
     bool
     boolean()
     {
-        const std::uint8_t v = u8();
+        return checkedBool(u8());
+    }
+
+    /** Decode a boolean byte taken from a block(). */
+    bool
+    checkedBool(std::uint8_t v) const
+    {
         if (v > 1)
             fail("boolean byte out of range");
         return v != 0;
@@ -217,6 +255,19 @@ class StateReader
             v.push_back(static_cast<T>(x));
         }
         return v;
+    }
+
+    /**
+     * Claim the next @p n bytes in one bounds check (the counterpart
+     * of StateWriter::block); a short archive fails as truncated.
+     */
+    const std::uint8_t*
+    block(std::size_t n)
+    {
+        need(n);
+        const std::uint8_t* p = data_ + pos_;
+        pos_ += n;
+        return p;
     }
 
     /** Verify the next unit is the section named @p tag. */

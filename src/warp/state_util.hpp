@@ -27,13 +27,19 @@ saveSat(StateWriter& w, const SatCounter& c)
     w.u32(c.value());
 }
 
+/** Set @p c to a decoded value @p v, range-checked. */
 inline void
-loadSat(StateReader& r, SatCounter& c)
+setSat(const StateReader& r, SatCounter& c, std::uint32_t v)
 {
-    const std::uint32_t v = r.u32();
     if (v > c.maxValue())
         r.fail("saturating-counter value exceeds its range");
     c.set(v);
+}
+
+inline void
+loadSat(StateReader& r, SatCounter& c)
+{
+    setSat(r, c, r.u32());
 }
 
 inline void

@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 
 #include "guard/errors.hpp"
 #include "warp/snapshot.hpp"
@@ -23,12 +24,35 @@ WarpConfig::validate() const
             "to refill)");
 }
 
-WarpEstimate
-runWarp(const prog::Program& program,
-        const std::function<bpu::Topology()>& topology,
-        const sim::SimConfig& cfg, const WarpConfig& wcfg)
+namespace {
+
+/** One job's working state, carried from phase to phase. */
+struct JobRun
 {
+    /** Interval runs get no per-point CobraScope output. */
+    sim::SimConfig runCfg;
+    WarpEstimate est;
+    std::vector<std::shared_ptr<Snapshot>> snaps;
+    /** Per-interval cycle count, warmup included. */
+    std::vector<std::uint64_t> totalCycles;
+    /** Sweep index of the job's first interval point. */
+    std::size_t firstPoint = 0;
+};
+
+/**
+ * Phase 1, the job's serial part: interval placement, the warm-cache
+ * probe, and on a miss the fast-forward pass that captures one
+ * checkpoint per interval.
+ */
+void
+prepare(const WarpJob& job, JobRun& run)
+{
+    const sim::SimConfig& cfg = job.cfg;
+    const WarpConfig& wcfg = job.wcfg;
     wcfg.validate();
+    if (job.program == nullptr || !job.topology)
+        throw std::invalid_argument("WarpJob without a program or "
+                                    "topology");
     if (cfg.maxInsts < wcfg.intervals) {
         throw guard::ConfigError(
             "warp.intervals", "exceeds the instruction budget: fewer "
@@ -37,13 +61,13 @@ runWarp(const prog::Program& program,
 
     // Interval runs drive their own measurement; per-point CobraScope
     // output would only interleave K partial documents.
-    sim::SimConfig runCfg = cfg;
-    runCfg.output = sim::OutputConfig{};
+    run.runCfg = cfg;
+    run.runCfg.output = sim::OutputConfig{};
 
     const unsigned K = wcfg.intervals;
     const std::uint64_t perInterval = cfg.maxInsts / K;
 
-    WarpEstimate est;
+    WarpEstimate& est = run.est;
     est.intervals.resize(K);
     for (unsigned i = 0; i < K; ++i) {
         WarpInterval& iv = est.intervals[i];
@@ -66,14 +90,15 @@ runWarp(const prog::Program& program,
     }
 
     // ---- Warm-state cache probe (all-or-nothing) ----------------------
-    std::vector<std::shared_ptr<Snapshot>> snaps(K);
+    std::vector<std::shared_ptr<Snapshot>>& snaps = run.snaps;
+    snaps.resize(K);
     bool warm = false;
     if (wcfg.snapshotLookup) {
         // A throwaway simulator supplies the fingerprint every cached
         // snapshot must match; a mismatched or misplaced entry is a
         // miss (regenerate), never trusted.
         const std::uint64_t fp =
-            sim::Simulator(program, topology(), runCfg)
+            sim::Simulator(*job.program, job.topology(), run.runCfg)
                 .stateFingerprint();
         warm = true;
         for (unsigned i = 0; i < K && warm; ++i) {
@@ -84,61 +109,65 @@ runWarp(const prog::Program& program,
             snaps[i] = std::move(snap);
         }
     }
-    if (warm)
+    if (warm) {
         est.warmHits = K;
-
-    // ---- Serial fast-forward pass: one checkpoint per interval --------
-    if (!warm) {
-        sim::Simulator master(program, topology(), runCfg);
-        std::uint64_t ffAt = 0;
-        for (unsigned i = 0; i < K; ++i) {
-            const std::uint64_t start = est.intervals[i].sampleStart;
-            fastForward(master, start - ffAt, wcfg.ff);
-            ffAt = start;
-            snaps[i] = std::make_shared<Snapshot>(
-                captureSnapshot(master));
-            // The backend commits nothing during functional
-            // fast-forward, so captureSnapshot records insts == 0
-            // here; stamp the snapshot with its architectural
-            // placement so the warm-probe position check above can
-            // match it on a later run.
-            snaps[i]->insts = start;
-            if (wcfg.snapshotStore)
-                wcfg.snapshotStore(i, *snaps[i]);
-        }
-        est.ffInsts = ffAt;
-        if (!wcfg.checkpointDir.empty()) {
-            std::filesystem::create_directories(wcfg.checkpointDir);
-            for (unsigned i = 0; i < K; ++i) {
-                writeSnapshotFile(*snaps[i],
-                                  wcfg.checkpointDir + "/interval-" +
-                                      std::to_string(i) + ".warp");
-            }
-        }
+        return;
     }
 
-    // ---- Time-parallel interval sims on the sweep pool -----------------
-    sim::SweepEngine engine(wcfg.jobs);
-    engine.setProgress(wcfg.progress);
-    std::vector<std::uint64_t> totalCycles(K, 0);
+    // ---- Serial fast-forward pass: one checkpoint per interval --------
+    sim::Simulator master(*job.program, job.topology(), run.runCfg);
+    std::uint64_t ffAt = 0;
+    for (unsigned i = 0; i < K; ++i) {
+        const std::uint64_t start = est.intervals[i].sampleStart;
+        fastForward(master, start - ffAt, wcfg.ff);
+        ffAt = start;
+        snaps[i] = std::make_shared<Snapshot>(captureSnapshot(master));
+        // The backend commits nothing during functional fast-forward,
+        // so captureSnapshot records insts == 0 here; stamp the
+        // snapshot with its architectural placement so the warm-probe
+        // position check above can match it on a later run.
+        snaps[i]->insts = start;
+        if (wcfg.snapshotStore)
+            wcfg.snapshotStore(i, *snaps[i]);
+    }
+    est.ffInsts = ffAt;
+    if (!wcfg.checkpointDir.empty()) {
+        std::filesystem::create_directories(wcfg.checkpointDir);
+        for (unsigned i = 0; i < K; ++i) {
+            writeSnapshotFile(*snaps[i], wcfg.checkpointDir +
+                                             "/interval-" +
+                                             std::to_string(i) + ".warp");
+        }
+    }
+}
+
+/** Phase 2: queue the job's interval points on the shared pool. */
+void
+addIntervals(const WarpJob& job, JobRun& run, sim::SweepEngine& engine)
+{
+    const unsigned K = job.wcfg.intervals;
+    run.firstPoint = engine.pending();
+    run.totalCycles.assign(K, 0);
     for (unsigned i = 0; i < K; ++i) {
         sim::SweepPoint p;
         p.label = "warp/interval-" + std::to_string(i);
-        p.topology = topology;
-        p.program = &program;
-        p.cfg = runCfg;
-        const std::shared_ptr<Snapshot> snap = snaps[i];
-        const std::uint64_t warmup = wcfg.warmupCycles;
-        const std::uint64_t sample = est.intervals[i].sampledInsts;
-        std::uint64_t* cyclesOut = &totalCycles[i];
+        p.topology = job.topology;
+        p.program = job.program;
+        p.cfg = run.runCfg;
+        const std::uint64_t warmup = job.wcfg.warmupCycles;
+        const std::uint64_t sample = run.est.intervals[i].sampledInsts;
+        std::uint64_t* cyclesOut = &run.totalCycles[i];
         // The last interval's registry (whose checkpoint carried the
         // stats of the whole warmed prefix) doubles as the stats tree
         // of the warp point; render it while the simulator is alive.
         std::string* groupsOut =
-            i + 1 == K ? &est.groupsJson : nullptr;
-        p.execute = [snap, warmup, sample, cyclesOut,
-                     groupsOut](sim::Simulator& s) {
+            i + 1 == K ? &run.est.groupsJson : nullptr;
+        // The point owns the checkpoint from here and drops it once
+        // restored, so a batch's memory shrinks as intervals start.
+        p.execute = [snap = std::move(run.snaps[i]), warmup, sample,
+                     cyclesOut, groupsOut](sim::Simulator& s) mutable {
             restoreSnapshot(s, *snap);
+            snap.reset();
             const sim::SimResult r = s.runInterval(warmup, sample);
             *cyclesOut = s.cycles();
             if (groupsOut != nullptr) {
@@ -150,14 +179,21 @@ runWarp(const prog::Program& program,
         };
         engine.add(std::move(p));
     }
-    const std::vector<sim::SweepOutcome> outcomes = engine.run();
+}
 
-    // ---- Stitch ---------------------------------------------------------
+/** Phase 3: stitch the job's interval samples into its estimate. */
+WarpEstimate
+stitch(const WarpJob& job, JobRun& run,
+       const std::vector<sim::SweepOutcome>& outcomes)
+{
+    const sim::SimConfig& cfg = job.cfg;
+    const unsigned K = job.wcfg.intervals;
+    WarpEstimate& est = run.est;
     std::vector<double> ipcs, mpkis;
     double estCycles = 0.0;
     double mpkiWeighted = 0.0;
     for (unsigned i = 0; i < K; ++i) {
-        const sim::SweepOutcome& o = outcomes[i];
+        const sim::SweepOutcome& o = outcomes[run.firstPoint + i];
         if (!o.ok()) {
             throw guard::SimError("warp interval " + std::to_string(i) +
                                   " failed: " + o.error);
@@ -213,8 +249,8 @@ runWarp(const prog::Program& program,
         est.sampled.ghistReplays += o.result.ghistReplays;
         est.sampled.packetsKilled += o.result.packetsKilled;
         est.detailedInsts += o.result.insts;
-        est.detailedCycles += totalCycles[i];
-        est.warmupCycles += totalCycles[i] - o.result.cycles;
+        est.detailedCycles += run.totalCycles[i];
+        est.warmupCycles += run.totalCycles[i] - o.result.cycles;
     }
 
     est.ipc = static_cast<double>(cfg.maxInsts) / estCycles;
@@ -241,7 +277,61 @@ runWarp(const prog::Program& program,
     est.ipcCi95 = ci95(ipcs);
     est.mpkiCi95 = ci95(mpkis);
     est.ipcRelErr = est.ipc > 0.0 ? est.ipcCi95 / est.ipc : 0.0;
-    return est;
+    return std::move(est);
+}
+
+} // namespace
+
+std::vector<WarpOutcome>
+runWarps(const std::vector<WarpJob>& batch, unsigned jobs)
+{
+    sim::SweepEngine engine(jobs);
+    std::vector<WarpOutcome> out(batch.size());
+    std::vector<JobRun> runs(batch.size());
+
+    // Phase 1: every job's serial part at once, one task per job.
+    engine.runTasks(batch.size(), [&](std::size_t j) {
+        try {
+            prepare(batch[j], runs[j]);
+        } catch (...) {
+            out[j].exception = std::current_exception();
+        }
+    });
+
+    // Phase 2: the intervals of every prepared job on the same pool.
+    bool progress = false;
+    for (std::size_t j = 0; j < batch.size(); ++j) {
+        if (out[j].exception)
+            continue;
+        addIntervals(batch[j], runs[j], engine);
+        progress = progress || batch[j].wcfg.progress;
+    }
+    engine.setProgress(progress);
+    const std::vector<sim::SweepOutcome> outcomes = engine.run();
+
+    // Phase 3: each job's estimate, in submission order.
+    for (std::size_t j = 0; j < batch.size(); ++j) {
+        if (out[j].exception)
+            continue;
+        try {
+            out[j].estimate = stitch(batch[j], runs[j], outcomes);
+        } catch (...) {
+            out[j].exception = std::current_exception();
+        }
+    }
+    return out;
+}
+
+WarpEstimate
+runWarp(const prog::Program& program,
+        const std::function<bpu::Topology()>& topology,
+        const sim::SimConfig& cfg, const WarpConfig& wcfg)
+{
+    std::vector<WarpOutcome> out =
+        runWarps({WarpJob{&program, topology, cfg, wcfg}}, wcfg.jobs);
+    if (out[0].exception)
+        std::rethrow_exception(out[0].exception);
+    return std::move(out[0].estimate);
 }
 
 std::string

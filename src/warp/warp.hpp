@@ -11,18 +11,23 @@
  * whole-run IPC/MPKI estimate with confidence intervals from the
  * interval-to-interval variance (SMARTS-style systematic sampling).
  *
- * Two independent sources of speedup compose:
+ * Three independent sources of speedup compose:
  *  - sampling: only `sampleInsts` of each interval run in detail, the
  *    rest advance at functional fast-forward speed (the dominant win
  *    on any host);
  *  - time-parallelism: intervals run concurrently on the worker pool
- *    (wins on multi-core hosts).
+ *    (wins on multi-core hosts);
+ *  - batching: runWarps takes many independent runs at once, so one
+ *    run's serial fast-forward overlaps the others' instead of leaving
+ *    the rest of the pool idle (wins whenever a caller has more than
+ *    one run to make, as the search's warp tier does).
  */
 
 #ifndef COBRA_WARP_WARP_HPP
 #define COBRA_WARP_WARP_HPP
 
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <string>
 #include <vector>
@@ -49,7 +54,11 @@ struct WarpConfig
      * whole interval (no sampling — time-parallelism only).
      */
     std::uint64_t sampleInsts = 0;
-    /** Worker pool size; 0 = SweepEngine::defaultJobs(). */
+    /**
+     * Worker pool size; 0 = SweepEngine::defaultJobs(). runWarp
+     * passes it to runWarps; inside a batch the pool size is runWarps'
+     * own argument and this field is not read.
+     */
     unsigned jobs = 0;
     /** Report interval completion to stderr. */
     bool progress = false;
@@ -72,6 +81,11 @@ struct WarpConfig
     // snapshot. Lookup implementations must validate their storage
     // (guard::CheckpointError on corruption -> evict and return
     // false, never return a snapshot they cannot vouch for).
+    //
+    // Both hooks run on the thread that runs the job's serial phase.
+    // In a runWarps batch, the hooks of different jobs may run
+    // concurrently, so hooks shared between jobs must synchronise;
+    // one job's own hook calls never overlap.
 
     /** Fill @p out for interval @p idx; false = cache miss. */
     std::function<bool(unsigned idx, Snapshot& out)> snapshotLookup;
@@ -161,8 +175,46 @@ struct WarpEstimate
  */
 std::string statsGroupsJson(const WarpEstimate& est);
 
+/** One warp run of a runWarps batch: runWarp's four arguments. */
+struct WarpJob
+{
+    /** Borrowed read-only; must outlive the batch. */
+    const prog::Program* program = nullptr;
+    std::function<bpu::Topology()> topology;
+    sim::SimConfig cfg;
+    WarpConfig wcfg;
+};
+
+/** One job's result: its estimate, or the exception it ended with. */
+struct WarpOutcome
+{
+    WarpEstimate estimate;
+    /** What runWarp would have thrown for this job; null on success. */
+    std::exception_ptr exception;
+};
+
 /**
- * Run @p cfg's workload in warp mode. @p topology is invoked once per
+ * Run independent warp runs as one batch on one pool of @p jobs
+ * workers (0 = SweepEngine::defaultJobs()), in three phases:
+ *  1. every job's serial part runs concurrently, one task per job:
+ *     interval placement, the warm-cache probe, and on a miss the
+ *     fast-forward pass with its checkpoints (and checkpointDir
+ *     files, which each job writes itself — jobs that share a
+ *     checkpointDir write the same file names, so give each its own);
+ *  2. the intervals of every job run on the pool together;
+ *  3. each job's estimate, or its exception, comes back in
+ *     submission order.
+ * A job that fails in phase 1 queues no intervals. Each estimate
+ * depends only on its own job's inputs, so it equals that job's solo
+ * runWarp result at any @p jobs and any batch composition. @p jobs
+ * sizes both phases; the jobs' own WarpConfig::jobs is not read.
+ */
+std::vector<WarpOutcome> runWarps(const std::vector<WarpJob>& batch,
+                                  unsigned jobs);
+
+/**
+ * Run @p cfg's workload in warp mode: a one-job runWarps batch on a
+ * pool of @p wcfg.jobs workers. @p topology is invoked once per
  * interval plus once for the fast-forward pass (topologies are
  * single-use). Throws guard::SimError if any interval fails
  * (deadlock, checkpoint mismatch), guard::ConfigError on an invalid

@@ -23,6 +23,8 @@
 #include "search/space.hpp"
 #include "search/surrogate.hpp"
 #include "serve/json.hpp"
+#include "sim/design_spec.hpp"
+#include "warp/warp.hpp"
 
 using namespace cobra;
 using guard::ConfigError;
@@ -74,6 +76,50 @@ TEST(Search, SameSeedReproducesTheSameFrontierByteForByte)
     ASSERT_EQ(a.candidates.size(), b.candidates.size());
     for (std::size_t i = 0; i < a.candidates.size(); ++i)
         EXPECT_EQ(a.candidates[i].spec, b.candidates[i].spec) << i;
+}
+
+TEST(Search, TwoWorkloadWarpTierMatchesSoloRunsAtOneAndThreeJobs)
+{
+    // Tier 2 batches every (candidate, workload) warp run. The
+    // frontier must not depend on the pool width, and each candidate's
+    // warp metrics must be the workload mean of its solo runWarp
+    // estimates: a slip in the batch's candidate-major indexing would
+    // hand a candidate another run's estimate.
+    search::SearchConfig cfg = tinyConfig();
+    cfg.workloads = {"mcf", "leela"};
+    cfg.warpInsts = 20'000;
+    cfg.detailInsts = 20'000;
+    cfg.detailWarmup = 5'000;
+    cfg.jobs = 1;
+    const search::SearchResult inline1 = search::runSearch(cfg, cache());
+    cfg.jobs = 3;
+    const search::SearchResult pool3 = search::runSearch(cfg, cache());
+    EXPECT_EQ(search::frontierJson(inline1), search::frontierJson(pool3));
+
+    warp::WarpConfig w;
+    w.intervals = cfg.warpIntervals;
+    w.warmupCycles = cfg.warpWarmupCycles;
+    w.sampleInsts = cfg.warpSampleInsts;
+    unsigned checked = 0;
+    for (const search::Candidate& c : pool3.candidates) {
+        if (!c.hasWarp)
+            continue;
+        double ipc = 0.0, mpki = 0.0;
+        for (const std::string& wl : cfg.workloads) {
+            sim::SimConfig scfg = sim::makeConfig(c.spec);
+            scfg.maxInsts = cfg.warpInsts;
+            const warp::WarpEstimate est = warp::runWarp(
+                cache().get(wl),
+                [&c] { return sim::buildTopology(c.spec); }, scfg, w);
+            ipc += est.ipc;
+            mpki += est.mpki;
+        }
+        EXPECT_EQ(c.warp.ipc, ipc / 2.0) << c.id;
+        EXPECT_EQ(c.warp.mpki, mpki / 2.0) << c.id;
+        ++checked;
+    }
+    EXPECT_EQ(checked, pool3.warpEvals);
+    EXPECT_GE(checked, 2u);
 }
 
 TEST(Search, SpaceSamplingIsDeterministicUnderSeed)

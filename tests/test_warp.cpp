@@ -1,9 +1,11 @@
 /**
  * @file
- * Warp subsystem tests: state-archive primitives, full-simulator
- * checkpoint round-trips (including mid-speculation captures taken at
- * arbitrary cycles), structured rejection of corrupted or mismatched
- * snapshots, functional fast-forward, and warp-driver determinism.
+ * Warp subsystem tests: state-archive primitives, the bulk table
+ * codecs, full-simulator checkpoint round-trips (including
+ * mid-speculation captures taken at arbitrary cycles), pinned payload
+ * bytes, structured rejection of corrupted or mismatched snapshots,
+ * functional fast-forward, warp-driver determinism, and batched warp
+ * runs against their solo runs.
  */
 
 #include <cstdint>
@@ -15,8 +17,11 @@
 
 #include <gtest/gtest.h>
 
+#include "components/tage.hpp"
+#include "core/cache.hpp"
 #include "guard/errors.hpp"
 #include "program/workload.hpp"
+#include "sim/design_spec.hpp"
 #include "sim/presets.hpp"
 #include "sim/simulator.hpp"
 #include "test_util.hpp"
@@ -154,6 +159,103 @@ TEST(StateIo, OversizedVectorLengthIsAStructuredError)
     const std::vector<std::uint8_t> bytes = w.take();
     warp::StateReader r(bytes.data(), bytes.size());
     EXPECT_THROW(r.vecU<std::uint64_t>(), guard::CheckpointError);
+}
+
+// ---------------------------------------------------------------------
+// Bulk table codecs (cache line arrays, TAGE rows)
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** A small cache with a few lines touched, and its saved state. */
+std::vector<std::uint8_t>
+savedCacheState(const core::CacheParams& params)
+{
+    core::Cache c(params);
+    for (Addr a = 0; a < 64 * 40; a += 64)
+        c.access(a * 3);
+    warp::StateWriter w;
+    c.saveState(w);
+    return w.take();
+}
+
+/** Restore @p bytes into a fresh cache; the error text, or "". */
+std::string
+restoreCacheError(const core::CacheParams& params,
+                  const std::vector<std::uint8_t>& bytes,
+                  std::size_t size)
+{
+    core::Cache c(params);
+    warp::StateReader r(bytes.data(), size);
+    try {
+        c.restoreState(r);
+        r.expectEnd();
+    } catch (const guard::CheckpointError& e) {
+        return e.what();
+    }
+    return "";
+}
+
+} // namespace
+
+TEST(StateIo, CacheLineBlockRoundTripsAndRejectsBadBytes)
+{
+    core::CacheParams params;
+    params.sizeBytes = 4 * 1024;
+    params.ways = 4;
+    const std::vector<std::uint8_t> bytes = savedCacheState(params);
+    // u64 line count, 17 bytes per line, u64 LRU clock.
+    const std::size_t lines = params.sizeBytes / params.lineBytes;
+    ASSERT_EQ(bytes.size(), 8 + 17 * lines + 8);
+    EXPECT_EQ(restoreCacheError(params, bytes, bytes.size()), "");
+
+    // Line 5's valid byte set to 2.
+    std::vector<std::uint8_t> bad = bytes;
+    bad[8 + 17 * 5] = 2;
+    EXPECT_NE(restoreCacheError(params, bad, bad.size())
+                  .find("boolean byte out of range"),
+              std::string::npos);
+
+    // The line table cut short, mid-line.
+    EXPECT_NE(restoreCacheError(params, bytes, 8 + 17 * 7 + 3)
+                  .find("archive truncated"),
+              std::string::npos);
+}
+
+TEST(StateIo, TageRowBlockRejectsBadBytes)
+{
+    const comps::TageParams params = comps::TageParams::tageL();
+    warp::StateWriter w;
+    comps::Tage("tage", params).saveState(w);
+    const std::vector<std::uint8_t> bytes = w.take();
+    auto restoreError = [&](const std::vector<std::uint8_t>& b) {
+        comps::Tage t("tage", params);
+        warp::StateReader r(b);
+        try {
+            t.restoreState(r);
+            r.expectEnd();
+        } catch (const guard::CheckpointError& e) {
+            return std::string(e.what());
+        }
+        return std::string();
+    };
+    EXPECT_EQ(restoreError(bytes), "");
+
+    // Table 0, row 0 starts after the table and row counts: valid,
+    // u32 tag, u8 useful, u64 counter count, then the counters.
+    constexpr std::size_t kRow0 = 16;
+    std::vector<std::uint8_t> bad = bytes;
+    bad[kRow0] = 2;
+    EXPECT_NE(restoreError(bad).find("boolean byte out of range"),
+              std::string::npos);
+    bad = bytes;
+    bad[kRow0 + 6] ^= 1;
+    EXPECT_NE(restoreError(bad).find("TAGE counter count does not match"),
+              std::string::npos);
+    bad = bytes;
+    bad[kRow0 + 14] = 0xFF;
+    EXPECT_NE(restoreError(bad).find("saturating-counter value exceeds"),
+              std::string::npos);
 }
 
 // ---------------------------------------------------------------------
@@ -358,6 +460,40 @@ TEST(Snapshot, FingerprintMismatchIsRejectedOnRestore)
                          smallCfg(sim::Design::TageL));
     EXPECT_THROW(warp::restoreSnapshot(other, snap),
                  guard::CheckpointError);
+}
+
+TEST(Snapshot, CapturedPayloadBytesArePinned)
+{
+    // The checkpoint byte format is a contract with files already on
+    // disk: the bulk table codecs must write what the per-primitive
+    // walk always wrote. Size and FNV-1a digest of a fast-forwarded
+    // capture on mcf, one per preset.
+    struct Pin
+    {
+        sim::Design design;
+        std::size_t bytes;
+        std::uint64_t fnv;
+    };
+    const Pin pins[] = {
+        {sim::Design::Tourney, 1397078, 0x1e3ce5a5531faf49ull},
+        {sim::Design::B2, 1392883, 0xb3a6a07b5e9d1355ull},
+        {sim::Design::TageL, 1597229, 0xc1abedc034a889f4ull},
+        {sim::Design::RefBig, 6043189, 0x3a106c4a297b71aaull},
+    };
+    for (const Pin& pin : pins) {
+        const sim::DesignSpec spec = sim::presetSpec(pin.design);
+        sim::SimConfig cfg = sim::makeConfig(spec);
+        cfg.maxInsts = 16000;
+        sim::Simulator s(cache().get("mcf"), sim::buildTopology(spec),
+                         cfg);
+        warp::fastForward(s, 53000);
+        const warp::Snapshot snap = warp::captureSnapshot(s);
+        EXPECT_EQ(snap.payload.size(), pin.bytes)
+            << sim::designName(pin.design);
+        EXPECT_EQ(warp::fnv1a(snap.payload.data(), snap.payload.size()),
+                  pin.fnv)
+            << sim::designName(pin.design);
+    }
 }
 
 TEST(Snapshot, FileRoundTripAndIoErrors)
@@ -662,4 +798,106 @@ TEST(Warp, InvalidConfigurationsAreRejected)
     tiny.maxInsts = 2;
     w.intervals = 8;
     EXPECT_THROW(warp::runWarp(p, topo, tiny, w), guard::ConfigError);
+}
+
+// ---------------------------------------------------------------------
+// Batched warp runs
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** Field-for-field equality of two estimates. */
+void
+expectSameEstimate(const warp::WarpEstimate& a,
+                   const warp::WarpEstimate& b, const std::string& what)
+{
+    EXPECT_EQ(a.sampled, b.sampled) << what;
+    EXPECT_EQ(a.estimate, b.estimate) << what;
+    EXPECT_EQ(a.ipc, b.ipc) << what;
+    EXPECT_EQ(a.mpki, b.mpki) << what;
+    EXPECT_EQ(a.ipcCi95, b.ipcCi95) << what;
+    EXPECT_EQ(a.mpkiCi95, b.mpkiCi95) << what;
+    EXPECT_EQ(a.ipcRelErr, b.ipcRelErr) << what;
+    EXPECT_EQ(a.ffInsts, b.ffInsts) << what;
+    EXPECT_EQ(a.warmHits, b.warmHits) << what;
+    EXPECT_EQ(a.detailedCycles, b.detailedCycles) << what;
+    EXPECT_EQ(a.warmupCycles, b.warmupCycles) << what;
+    EXPECT_EQ(a.detailedInsts, b.detailedInsts) << what;
+    EXPECT_EQ(a.groupsJson, b.groupsJson) << what;
+    ASSERT_EQ(a.intervals.size(), b.intervals.size()) << what;
+    for (std::size_t i = 0; i < a.intervals.size(); ++i) {
+        const warp::WarpInterval& x = a.intervals[i];
+        const warp::WarpInterval& y = b.intervals[i];
+        EXPECT_EQ(x.startInst, y.startInst) << what << " interval " << i;
+        EXPECT_EQ(x.lengthInsts, y.lengthInsts) << what;
+        EXPECT_EQ(x.sampledInsts, y.sampledInsts) << what;
+        EXPECT_EQ(x.sampleStart, y.sampleStart) << what;
+        EXPECT_EQ(x.result, y.result) << what << " interval " << i;
+        EXPECT_EQ(x.ipc, y.ipc) << what;
+        EXPECT_EQ(x.mpki, y.mpki) << what;
+    }
+}
+
+} // namespace
+
+TEST(WarpBatch, EveryJobMatchesItsSoloRunAtAnyWidth)
+{
+    warp::WarpConfig w;
+    w.intervals = 2;
+    w.sampleInsts = 3000;
+    w.warmupCycles = 1000;
+    w.jobs = 1;
+
+    std::vector<warp::WarpJob> batch;
+    std::vector<std::string> names;
+    for (const char* wl : {"mcf", "leela"}) {
+        for (sim::Design d :
+             {sim::Design::Tourney, sim::Design::B2, sim::Design::TageL,
+              sim::Design::RefBig}) {
+            sim::SimConfig cfg = sim::makeConfig(d);
+            cfg.warmupInsts = 2000;
+            cfg.maxInsts = 12000;
+            batch.push_back({&cache().get(wl),
+                             [d] { return sim::buildTopology(d); }, cfg,
+                             w});
+            names.push_back(std::string(sim::designName(d)) + "/" + wl);
+        }
+    }
+    // An invalid job in the middle: more intervals than instructions.
+    const std::size_t invalid = 3;
+    warp::WarpJob bad = batch[0];
+    bad.cfg.maxInsts = 1;
+    batch.insert(batch.begin() + invalid, bad);
+    names.insert(names.begin() + invalid, "invalid");
+
+    std::vector<warp::WarpEstimate> solo;
+    for (std::size_t j = 0; j < batch.size(); ++j) {
+        if (j == invalid)
+            solo.emplace_back();
+        else
+            solo.push_back(warp::runWarp(*batch[j].program,
+                                         batch[j].topology, batch[j].cfg,
+                                         batch[j].wcfg));
+    }
+
+    // At 3 workers the fast-forward passes of different jobs overlap
+    // (the tsan leg checks that they share nothing).
+    for (unsigned jobs : {1u, 3u}) {
+        const std::vector<warp::WarpOutcome> out =
+            warp::runWarps(batch, jobs);
+        ASSERT_EQ(out.size(), batch.size());
+        for (std::size_t j = 0; j < batch.size(); ++j) {
+            const std::string what =
+                names[j] + " at jobs " + std::to_string(jobs);
+            if (j == invalid) {
+                ASSERT_TRUE(out[j].exception) << what;
+                EXPECT_THROW(std::rethrow_exception(out[j].exception),
+                             guard::ConfigError)
+                    << what;
+                continue;
+            }
+            ASSERT_FALSE(out[j].exception) << what;
+            expectSameEstimate(out[j].estimate, solo[j], what);
+        }
+    }
 }
