@@ -27,8 +27,7 @@ addMode(bench::Sweep& sweep, const std::string& wl,
 {
     return sweep.add(sim::Design::TageL, wl,
                      [mode](sim::SimConfig& cfg) {
-                         cfg.frontend.ghistMode = mode;
-                         cfg.backend.ghistMode = mode;
+                         cfg.bpu.ghistMode = mode;
                      });
 }
 

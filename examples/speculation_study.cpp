@@ -32,8 +32,7 @@ main(int argc, char** argv)
          {bpu::GhistRepairMode::None, bpu::GhistRepairMode::RepairOnly,
           bpu::GhistRepairMode::RepairAndReplay}) {
         sim::SimConfig cfg = sim::makeConfig(sim::Design::TageL);
-        cfg.frontend.ghistMode = mode;
-        cfg.backend.ghistMode = mode;
+        cfg.bpu.ghistMode = mode;
         cfg.maxInsts = 200'000;
         cfg.warmupInsts = 50'000;
         sim::Simulator s(program,

@@ -76,20 +76,6 @@ BranchPredictorUnit::beginQuery(QueryState& q, Addr pc, unsigned valid_slots)
                 pred_.components().size()),
             cfg_.fetchWidth, ++querySerial_);
     ++queries_;
-
-    // Host cache hint (architecturally inert): pull the tables'
-    // indexed rows toward the cache now, one-plus cycles ahead of the
-    // stage >= 2 reads. The speculative histories here may differ from
-    // the ones captured at the end of Fetch-1; a stale index merely
-    // prefetches a nearby row.
-    PredictContext ctx;
-    ctx.pc = pc;
-    ctx.validSlots = valid_slots;
-    ctx.ghist = &ghist_.current();
-    ctx.lhist = lhist_.read(pc);
-    ctx.phist = phist_.current();
-    ctx.serial = querySerial_;
-    pred_.prefetchAll(ctx);
 }
 
 PredictionBundle

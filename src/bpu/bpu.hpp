@@ -40,6 +40,12 @@ struct BpuConfig
     unsigned walkWidth = 1;
     /** Commit updates issued per cycle. */
     unsigned updateWidth = 1;
+    /**
+     * Global-history repair policy at mispredicts (paper §VI-B): the
+     * backend restores the history on a mispredict, and the frontend
+     * replays packets whose fetch-time bits turn out wrong.
+     */
+    GhistRepairMode ghistMode = GhistRepairMode::RepairAndReplay;
 
     /**
      * Check structural invariants; throws guard::ConfigError with an

@@ -78,16 +78,6 @@ class PredictorComponent
     virtual unsigned metaBits() const { return 0; }
 
     /**
-     * Host-side cache-warming hint: prefetch the table rows this
-     * component would index for a query at @p ctx. Called by the BPU
-     * at FTQ-insert time (Fetch-0), one fetch packet ahead of the
-     * predict() that reads the rows at stage latency(). MUST be
-     * architecturally inert — no predictor state may change — so the
-     * default no-op is always correct.
-     */
-    virtual void prefetch(const PredictContext& ctx) const { (void)ctx; }
-
-    /**
      * True when the component consumes the local-history input; the
      * composer only generates a full local-history provider when some
      * component needs it (§IV-B3).

@@ -388,13 +388,6 @@ ComposedPredictor::updateBatch(ResolveEvent* evs,
 }
 
 void
-ComposedPredictor::prefetchAll(const PredictContext& ctx) const
-{
-    for (const auto* c : components_)
-        c->prefetch(ctx);
-}
-
-void
 ComposedPredictor::creditResolution(
     const ResolveEvent& ev,
     const std::array<std::uint8_t, kMaxFetchWidth>& dir_provider)

@@ -205,14 +205,6 @@ class ComposedPredictor
                      std::size_t n);
 
     /**
-     * Host-side prefetch sweep: forward @p ctx to every component's
-     * prefetch() hint (architecturally inert; see
-     * PredictorComponent::prefetch). Called by the BPU at Fetch-0,
-     * one packet ahead of the table reads at stage >= 2.
-     */
-    void prefetchAll(const PredictContext& ctx) const;
-
-    /**
      * Credit the recorded per-slot direction providers against the
      * resolved outcome (called once per commit update): right calls
      * bump provider_correct, wrong ones provider_wrong.

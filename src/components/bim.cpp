@@ -112,21 +112,6 @@ Hbim::update(const bpu::ResolveEvent& ev)
     }
 }
 
-void
-Hbim::prefetch(const bpu::PredictContext& ctx) const
-{
-    // Host cache hint only (architecturally inert). Skip when the
-    // index needs a history the caller cannot supply yet at F0.
-    const bool needsGhist = params_.mode == IndexMode::GlobalHist ||
-                            params_.mode == IndexMode::GshareHash;
-    if (needsGhist && ctx.ghist == nullptr)
-        return;
-    const std::size_t set = indexOf(ctx.pc, &ctx,
-                                    needsGhist ? ctx.ghist : nullptr,
-                                    ctx.lhist, ctx.phist);
-    __builtin_prefetch(&table_[set * fetchWidth()], 0, 1);
-}
-
 std::string
 Hbim::describe() const
 {

@@ -146,16 +146,6 @@ Btb::update(const bpu::ResolveEvent& ev)
     }
 }
 
-void
-Btb::prefetch(const bpu::PredictContext& ctx) const
-{
-    // Host cache hint only: pull the indexed set's tag strip and its
-    // first way's slot run into cache one packet ahead of predict().
-    const std::size_t set = setOf(ctx.pc);
-    __builtin_prefetch(&ways_[set * params_.ways], 0, 1);
-    __builtin_prefetch(&slots_[set * params_.ways * fetchWidth()], 0, 1);
-}
-
 std::uint64_t
 Btb::storageBits() const
 {

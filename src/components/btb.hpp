@@ -51,8 +51,6 @@ class Btb final : public bpu::PredictorComponent
 
     void update(const bpu::ResolveEvent& ev) override;
 
-    void prefetch(const bpu::PredictContext& ctx) const override;
-
     void saveState(warp::StateWriter& w) const override;
     void restoreState(warp::StateReader& r) override;
 

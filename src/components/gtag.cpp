@@ -102,20 +102,6 @@ Gtag::describe() const
 }
 
 void
-Gtag::prefetch(const bpu::PredictContext& ctx) const
-{
-    // Host cache hint only: pull the indexed row's strips one packet
-    // ahead of predict(). Uses the caller's current (speculative)
-    // history — a slightly stale index still lands near the row.
-    if (ctx.ghist == nullptr)
-        return;
-    const std::size_t base = indexOf(ctx.pc, *ctx.ghist) * fetchWidth();
-    __builtin_prefetch(&valids_[base], 0, 1);
-    __builtin_prefetch(&tags_[base], 0, 1);
-    __builtin_prefetch(&ctrs_[base], 0, 1);
-}
-
-void
 Gtag::saveState(warp::StateWriter& w) const
 {
     w.u64(valids_.size());

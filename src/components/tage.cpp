@@ -383,21 +383,6 @@ Tage::describe() const
     return oss.str();
 }
 
-void
-Tage::prefetch(const bpu::PredictContext& ctx) const
-{
-    // Host cache hint only: pull each table's indexed row header and
-    // counter run one packet ahead of predict(). Uses the caller's
-    // current (speculative) history; a stale index is harmless.
-    if (ctx.ghist == nullptr)
-        return;
-    for (const Table& t : tables_) {
-        const std::size_t ri = indexOf(t, ctx.pc, *ctx.ghist);
-        __builtin_prefetch(&t.rows[ri], 0, 1);
-        __builtin_prefetch(&t.ctrs[ri * fetchWidth()], 0, 1);
-    }
-}
-
 // Each table travels as one block. Per row: the bytes of
 // boolean(valid), u32(tag), u8(u), u64(fetchWidth), then fetchWidth
 // u32 counter values.

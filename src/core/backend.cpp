@@ -270,7 +270,7 @@ Backend::resolveCf(std::size_t idx, Cycle now)
 
     // Global-history repair (paper §VI-B): restore the predict-time
     // snapshot from the history file and re-push resolved outcomes.
-    if (cfg_.ghistMode != bpu::GhistRepairMode::None &&
+    if (bpu_.config().ghistMode != bpu::GhistRepairMode::None &&
         bpu_.historyFile().contains(e.fi.ftq)) {
         const bpu::HistoryFileEntry& hfe =
             bpu_.historyFile().at(e.fi.ftq);

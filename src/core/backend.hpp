@@ -41,10 +41,6 @@ struct BackendConfig
     /** Short-forwards-branch predication (paper §VI-C). */
     bool sfbEnabled = false;
     unsigned sfbMaxShadowBytes = 32;
-
-    /** Global-history repair policy at mispredicts (paper §VI-B). */
-    bpu::GhistRepairMode ghistMode =
-        bpu::GhistRepairMode::RepairAndReplay;
 };
 
 /**

@@ -216,7 +216,7 @@ Frontend::tryFinalize(Packet& p, Cycle now)
         }
     }
     bool replay = false;
-    if (cfg_.ghistMode == bpu::GhistRepairMode::RepairAndReplay &&
+    if (bpu_.config().ghistMode == bpu::GhistRepairMode::RepairAndReplay &&
         trueBits != p.pushedBits) {
         bpu_.restoreSpecGhist(p.query.ghist());
         for (bool bit : trueBits)

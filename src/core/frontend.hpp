@@ -49,8 +49,6 @@ struct FrontendConfig
     unsigned fetchWidth = 4;        ///< Slots per aligned fetch packet.
     unsigned fetchBufferInsts = 32; ///< Fetch buffer capacity.
     unsigned rasEntries = 16;
-    bpu::GhistRepairMode ghistMode =
-        bpu::GhistRepairMode::RepairAndReplay;
     /** Serialize fetch behind branches (one branch per packet, §I). */
     bool serializeFetch = false;
 };

@@ -1,7 +1,7 @@
 /**
  * @file
  * SimGuard structured errors. Every failure the framework can detect
- * at runtime maps onto one of three categories:
+ * at runtime maps onto one of these categories:
  *
  *  - ConfigError        — an invalid configuration or topology, caught
  *                         before (or while) models are constructed;
@@ -9,8 +9,6 @@
  *                         event contract of paper §III (detected by
  *                         the ContractAuditor or the base-class
  *                         contract helpers);
- *  - DeadlockError      — the pipeline stopped committing; carries the
- *                         watchdog's post-mortem text;
  *  - CheckpointError    — a warp-mode checkpoint could not be written,
  *                         read, or applied (corruption, truncation,
  *                         version/config mismatch);
@@ -22,14 +20,19 @@
  * so legacy call sites (and tests) that catch std::logic_error keep
  * working unchanged.
  *
+ * A pipeline that stops committing is not an exception: the run's
+ * SimResult comes back with `deadlocked` set and the watchdog's
+ * post-mortem attached.
+ *
  * The hierarchy doubles as a machine-readable failure taxonomy:
  * errorClassOf() maps any exception onto a stable class string
- * ("config", "contract", "deadlock", "checkpoint", "timeout", "sim",
- * "internal") used by SweepOutcome::errorClass and the cobra_serve
- * failure records, and errorClassTransient() says whether a class is
- * worth retrying (environmental, e.g. a timeout under host load or a
- * regenerable checkpoint) or deterministic (a config or contract bug
- * that will fail identically on every attempt).
+ * ("config", "contract", "checkpoint", "timeout", "sim", "internal")
+ * used by SweepOutcome::errorClass and the cobra_serve failure
+ * records (which add "deadlock" for a deadlocked result), and
+ * errorClassTransient() says whether a class is worth retrying
+ * (environmental, e.g. a timeout under host load or a regenerable
+ * checkpoint) or deterministic (a config or contract bug that will
+ * fail identically on every attempt).
  */
 
 #ifndef COBRA_GUARD_ERRORS_HPP
@@ -93,25 +96,6 @@ class ContractViolation : public SimError
 };
 
 /**
- * The simulated pipeline made no commit progress for longer than the
- * configured watchdog threshold. what() is the short message; the
- * full pipeline post-mortem text is available via postMortem().
- */
-class DeadlockError : public SimError
-{
-  public:
-    DeadlockError(const std::string& msg, std::string post_mortem)
-        : SimError(msg), postMortem_(std::move(post_mortem))
-    {
-    }
-
-    const std::string& postMortem() const { return postMortem_; }
-
-  private:
-    std::string postMortem_;
-};
-
-/**
  * A warp-mode checkpoint failed structural validation (bad magic,
  * version skew, checksum mismatch, truncation, section-tag mismatch)
  * or does not match the simulator it is being restored into
@@ -168,8 +152,6 @@ errorClassOf(const std::exception& e)
         return "config";
     if (dynamic_cast<const ContractViolation*>(&e) != nullptr)
         return "contract";
-    if (dynamic_cast<const DeadlockError*>(&e) != nullptr)
-        return "deadlock";
     if (dynamic_cast<const CheckpointError*>(&e) != nullptr)
         return "checkpoint";
     if (dynamic_cast<const TimeoutError*>(&e) != nullptr)
@@ -181,8 +163,7 @@ errorClassOf(const std::exception& e)
 
 /**
  * Describe the exception in flight (call from a catch block) as a
- * message plus its errorClassOf() class. A DeadlockError keeps the
- * watchdog's post-mortem appended to its message; a non-std exception
+ * message plus its errorClassOf() class. A non-std exception
  * (say, `throw 42` from a user-supplied factory) is "internal", like
  * any other unclassified failure. The sweep engine and the batch trace
  * evaluator both report failures through this one helper.
@@ -192,9 +173,6 @@ captureCurrentException(std::string& error, std::string& error_class)
 {
     try {
         throw;
-    } catch (const DeadlockError& e) {
-        error = std::string(e.what()) + "\n" + e.postMortem();
-        error_class = errorClassOf(e);
     } catch (const std::exception& e) {
         error = e.what();
         error_class = errorClassOf(e);

@@ -127,11 +127,16 @@ stemOf(const std::string& fname)
 /** Longest idle wait: an hour, and an int for poll(). */
 constexpr std::uint64_t kMaxPollMs = 3'600'000;
 
-const ServeConfig&
+/** @p cfg checked, with jobs == 0 resolved once, so a bad COBRA_JOBS
+ *  fails the daemon's start rather than its first request. */
+ServeConfig
 validated(const ServeConfig& cfg)
 {
     cfg.validate();
-    return cfg;
+    ServeConfig out = cfg;
+    if (out.jobs == 0)
+        out.jobs = sim::SweepEngine::defaultJobs();
+    return out;
 }
 
 } // namespace
@@ -570,9 +575,8 @@ Daemon::runDetailedRound(RequestState& rs,
                         throw guard::TimeoutError(label, limit_ms);
                     stop_cycle += slice;
                 }
-                // finishRun(), not run(): a stalled point then
-                // reports the same cycle count as an unwatched one
-                // (run() would issue one more probe tick).
+                // finishRun(), not run(): run() would tick a stalled
+                // point once more before reporting it.
                 return s.finishRun();
             };
         }
@@ -609,7 +613,6 @@ Daemon::runWarpPoint(RequestState& rs, std::size_t idx,
     sim::SweepOutcome o;
     o.label = spec.label;
     const auto t0 = std::chrono::steady_clock::now();
-    const warp::WarpEstimate* estp = nullptr;
     warp::WarpEstimate est;
     try {
         sim::SimConfig wcfg = req.makeConfig(spec.design);
@@ -620,7 +623,6 @@ Daemon::runWarpPoint(RequestState& rs, std::size_t idx,
             [d = spec.design] { return sim::buildTopology(d); },
             wcfg, w);
         o.result = est.estimate;
-        estp = &est;
     } catch (const std::exception& e) {
         o.error = e.what();
         o.errorClass = guard::errorClassOf(e);
@@ -629,20 +631,13 @@ Daemon::runWarpPoint(RequestState& rs, std::size_t idx,
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       t0)
             .count();
+    std::string fragment;
+    if (o.ok())
+        fragment = okFragment(o.label, attempt + 1, o.result,
+                              o.host.wallSeconds, &est);
 
     std::lock_guard<std::mutex> lk(finalizeM_);
-    if (estp != nullptr) {
-        PointRecord rec = rs.points[idx];
-        rec.attempts = attempt + 1;
-        rec.status = "ok";
-        rec.errorClass.clear();
-        rec.error.clear();
-        rec.fragment = okFragment(rec.label, rec.attempts, o.result,
-                                  o.host.wallSeconds, estp);
-        finalizePoint(rs, idx, std::move(rec));
-    } else {
-        handleOutcome(rs, idx, o, attempt);
-    }
+    handleOutcome(rs, idx, o, attempt, std::move(fragment));
 }
 
 void
@@ -675,22 +670,13 @@ Daemon::runSearchPoint(RequestState& rs, std::size_t idx,
             .count();
 
     std::lock_guard<std::mutex> lk(finalizeM_);
-    if (!fragment.empty()) {
-        PointRecord rec = rs.points[idx];
-        rec.attempts = attempt + 1;
-        rec.status = "ok";
-        rec.errorClass.clear();
-        rec.error.clear();
-        rec.fragment = std::move(fragment);
-        finalizePoint(rs, idx, std::move(rec));
-    } else {
-        handleOutcome(rs, idx, o, attempt);
-    }
+    handleOutcome(rs, idx, o, attempt, std::move(fragment));
 }
 
 void
 Daemon::handleOutcome(RequestState& rs, std::size_t idx,
-                      const sim::SweepOutcome& o, unsigned attempt)
+                      const sim::SweepOutcome& o, unsigned attempt,
+                      std::string fragment)
 {
     if (o.errorClass == "interrupted")
         return; // Never ran: stays pending for the next daemon.
@@ -702,8 +688,11 @@ Daemon::handleOutcome(RequestState& rs, std::size_t idx,
         rec.status = "ok";
         rec.errorClass.clear();
         rec.error.clear();
-        rec.fragment = okFragment(rec.label, rec.attempts, o.result,
-                                  o.host.wallSeconds, nullptr);
+        rec.fragment = fragment.empty()
+                           ? okFragment(rec.label, rec.attempts,
+                                        o.result, o.host.wallSeconds,
+                                        nullptr)
+                           : std::move(fragment);
         finalizePoint(rs, idx, std::move(rec));
         return;
     }

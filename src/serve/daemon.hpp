@@ -52,7 +52,8 @@ namespace cobra::serve {
 struct ServeConfig
 {
     std::string spoolRoot = "spool";
-    /** Sweep worker threads; 0 = SweepEngine::defaultJobs(). */
+    /** Sweep worker threads; 0 = SweepEngine::defaultJobs(), resolved
+     *  when the daemon is constructed. */
     unsigned jobs = 0;
     /** Max requests queued (admitted, not yet running). */
     std::size_t maxQueue = 8;
@@ -167,10 +168,12 @@ class Daemon
     void runSearchPoint(RequestState& rs, std::size_t idx,
                         unsigned attempt);
     /** Classify one execution outcome: finalize, or leave pending
-     *  for a retry round. Called under finalizeM_ (sweep workers
-     *  report concurrently). */
+     *  for a retry round. A success publishes @p fragment, or the
+     *  plain okFragment of @p o when it is empty. Called under
+     *  finalizeM_ (sweep workers report concurrently). */
     void handleOutcome(RequestState& rs, std::size_t idx,
-                       const sim::SweepOutcome& o, unsigned attempt);
+                       const sim::SweepOutcome& o, unsigned attempt,
+                       std::string fragment = {});
     /** Final-outcome bookkeeping: fragment, journal, counters. */
     void finalizePoint(RequestState& rs, std::size_t idx,
                        PointRecord rec);

@@ -329,8 +329,7 @@ SweepRequest::makeConfig(const sim::DesignSpec& d) const
     sim::SimConfig cfg = sim::makeConfig(d);
     cfg.maxInsts = insts;
     cfg.warmupInsts = warmup;
-    cfg.frontend.ghistMode = ghist;
-    cfg.backend.ghistMode = ghist;
+    cfg.bpu.ghistMode = ghist;
     cfg.backend.sfbEnabled = sfb;
     cfg.frontend.serializeFetch = serialize;
     cfg.deadlockCycles = deadlockCycles;

@@ -3,6 +3,8 @@
 #include "sim/design_spec.hpp"
 #include "warp/state_io.hpp"
 
+#include <limits>
+
 namespace cobra::sim {
 
 void
@@ -226,41 +228,8 @@ Simulator::measuredResult(bool deadlocked)
 SimResult
 Simulator::run()
 {
-    SimResult r;
-    if (!runStateValid_) {
-        lastProgress_ = backend_->committedInsts();
-        lastProgressCycle_ = now_;
-        runStateValid_ = true;
-    }
-
-    // ---- Warmup ---------------------------------------------------------
-    while (!baseCaptured_ &&
-           backend_->committedInsts() < cfg_.warmupInsts &&
-           now_ < cfg_.maxCycles) {
-        tickOnce();
-        if (stalled()) {
-            // Deadlocked before the measured region: report with zero
-            // metrics rather than spinning to maxCycles.
-            finishResult(r, true, now_ - lastProgressCycle_);
-            return r;
-        }
-    }
-    if (!baseCaptured_) {
-        base_ = snapshot();
-        baseCaptured_ = true;
-    }
-
-    // ---- Measured region -------------------------------------------------
-    bool deadlocked = false;
-    const std::uint64_t target = cfg_.warmupInsts + cfg_.maxInsts;
-    while (backend_->committedInsts() < target && now_ < cfg_.maxCycles) {
-        tickOnce();
-        if (stalled()) {
-            deadlocked = true; // No commit progress: abort the run.
-            break;
-        }
-    }
-    return measuredResult(deadlocked);
+    advanceTo(std::numeric_limits<Cycle>::max());
+    return finishRun();
 }
 
 bool
@@ -272,6 +241,7 @@ Simulator::advanceTo(Cycle stop_cycle)
         runStateValid_ = true;
     }
 
+    // ---- Warmup ---------------------------------------------------------
     while (!baseCaptured_ &&
            backend_->committedInsts() < cfg_.warmupInsts &&
            now_ < cfg_.maxCycles && now_ < stop_cycle) {
@@ -279,8 +249,8 @@ Simulator::advanceTo(Cycle stop_cycle)
         if (stalled())
             return false;
     }
-    // Capture the measurement base exactly when run() would: at the
-    // warmup loop's own exit condition, never at a stop_cycle pause.
+    // Capture the measurement base at the warmup loop's own exit
+    // condition, never at a stop_cycle pause.
     if (!baseCaptured_ &&
         (backend_->committedInsts() >= cfg_.warmupInsts ||
          now_ >= cfg_.maxCycles)) {
@@ -290,6 +260,7 @@ Simulator::advanceTo(Cycle stop_cycle)
     if (!baseCaptured_)
         return true;
 
+    // ---- Measured region -------------------------------------------------
     const std::uint64_t target = cfg_.warmupInsts + cfg_.maxInsts;
     while (backend_->committedInsts() < target &&
            now_ < cfg_.maxCycles && now_ < stop_cycle) {
@@ -304,19 +275,20 @@ SimResult
 Simulator::finishRun()
 {
     if (!baseCaptured_) {
-        // advanceTo() can only bail out before the measurement base is
-        // captured on a warmup stall: report run()'s warmup-deadlock
-        // result (zero metrics, deadlocked flag set).
+        // advanceTo() stops before capturing the measurement base only
+        // on a warmup stall: report it with zero metrics rather than
+        // spinning to maxCycles.
         SimResult r;
         finishResult(r, true, now_ - lastProgressCycle_);
         return r;
     }
-    // advanceTo() returned false either because the budget/cycle limit
-    // was reached (the loop conditions below are false) or because the
-    // watchdog saw a stall mid-region — exactly run()'s dichotomy.
+    // The run deadlocked iff the budget was not reached and the
+    // watchdog's last check fired (what stalled() returned on the
+    // final tick), even when that tick was also the maxCycles one.
     const std::uint64_t target = cfg_.warmupInsts + cfg_.maxInsts;
     const bool deadlocked =
-        backend_->committedInsts() < target && now_ < cfg_.maxCycles;
+        backend_->committedInsts() < target &&
+        now_ - lastProgressCycle_ > cfg_.deadlockCycles;
     return measuredResult(deadlocked);
 }
 
@@ -490,7 +462,7 @@ Simulator::stateFingerprint() const
     w.u32(cfg_.frontend.fetchWidth);
     w.u32(cfg_.frontend.fetchBufferInsts);
     w.u32(cfg_.frontend.rasEntries);
-    w.u8(static_cast<std::uint8_t>(cfg_.frontend.ghistMode));
+    w.u8(static_cast<std::uint8_t>(cfg_.bpu.ghistMode));
     w.boolean(cfg_.frontend.serializeFetch);
     w.u32(cfg_.backend.coreWidth);
     w.u32(cfg_.backend.robEntries);
@@ -502,20 +474,6 @@ Simulator::stateFingerprint() const
         w.u64(c->storageBits());
     }
     return warp::fnv1a(w.bytes().data(), w.bytes().size());
-}
-
-SimResult
-Simulator::runChecked()
-{
-    SimResult r = run();
-    if (r.deadlocked) {
-        throw guard::DeadlockError(
-            "pipeline deadlock: no commit progress for " +
-                std::to_string(cfg_.deadlockCycles) +
-                " cycles at cycle " + std::to_string(now_),
-            r.diagnostics);
-    }
-    return r;
 }
 
 } // namespace cobra::sim

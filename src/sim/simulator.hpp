@@ -245,14 +245,11 @@ class Simulator
     Simulator(const prog::Program& program, bpu::Topology topo,
               const SimConfig& cfg);
 
-    /** Run to the instruction budget; returns post-warmup metrics. */
-    SimResult run();
-
     /**
-     * Like run(), but a deadlocked pipeline raises guard::DeadlockError
-     * (carrying the post-mortem) instead of returning a flagged result.
+     * Run to the instruction budget; returns post-warmup metrics. The
+     * same as advanceTo() with no stop cycle followed by finishRun().
      */
-    SimResult runChecked();
+    SimResult run();
 
     /**
      * Warp interval run: tick detailed for @p warmup_cycles (the
@@ -266,25 +263,23 @@ class Simulator
                           std::uint64_t measure_insts);
 
     /**
-     * Drive the run() state machine up to @p stop_cycle and pause,
-     * leaving resumable mid-run state: checkpoint here (saveState),
-     * and a later run() — on this simulator or on a restored one —
-     * finishes with exactly the result an uninterrupted run() would
-     * have produced. Returns true while the run has work left, false
-     * once it has finished (budget reached, deadlocked, or out of
-     * cycles).
+     * Drive the run's warmup/measure/watchdog state machine up to
+     * @p stop_cycle and pause, leaving resumable mid-run state:
+     * checkpoint here (saveState), and a later run() — on this
+     * simulator or on a restored one — finishes with exactly the
+     * result an uninterrupted run() would have produced. Returns true
+     * while the run has work left, false once it has finished (budget
+     * reached, deadlocked, or out of cycles).
      */
     bool advanceTo(Cycle stop_cycle);
 
     /**
      * Produce the final SimResult for a run that advanceTo() has
-     * driven to completion (it returned false): exactly the result an
-     * uninterrupted run() would have returned, including the deadlock
-     * flag. Unlike calling run() after the fact, no further probe
-     * tick is issued, so a stalled run reports the same cycle count
-     * as the direct path. The serve daemon's wall-clock watchdog
-     * drives points in advanceTo() slices and finishes them through
-     * this.
+     * driven to completion (it returned false), however it was
+     * sliced. The run is flagged deadlocked when its budget was not
+     * reached and the watchdog's check on the final tick fired. No
+     * further tick is issued. The serve daemon's wall-clock watchdog
+     * drives points in advanceTo() slices and finishes them here.
      */
     SimResult finishRun();
 

@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <deque>
 #include <fstream>
+#include <limits>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
@@ -37,7 +38,21 @@ unsigned
 SweepEngine::defaultJobs()
 {
     if (const char* env = std::getenv("COBRA_JOBS")) {
-        const long n = std::strtol(env, nullptr, 10);
+        // Decimal digits only, so a typo, a sign or an oversized value
+        // is an error naming the variable, never a silent 1 or a
+        // count wrapped modulo 2^32.
+        constexpr unsigned long long kMax =
+            std::numeric_limits<unsigned>::max();
+        const std::string text(env);
+        unsigned long long n = kMax + 1;
+        if (!text.empty() && text.size() <= 10 &&
+            text.find_first_not_of("0123456789") == std::string::npos)
+            n = std::stoull(text);
+        if (n > kMax)
+            throw guard::ConfigError(
+                "COBRA_JOBS", "'" + text +
+                                  "' is not a worker count in [0, " +
+                                  std::to_string(kMax) + "]");
         return n >= 1 ? static_cast<unsigned>(n) : 1u;
     }
     const unsigned hw = std::thread::hardware_concurrency();

@@ -95,8 +95,8 @@ struct SweepOutcome
     std::string error;
     /**
      * Machine-readable failure class when the point failed (see
-     * guard::errorClassOf: "config", "contract", "deadlock",
-     * "checkpoint", "timeout", "sim", "internal"), or "interrupted"
+     * guard::errorClassOf: "config", "contract", "checkpoint",
+     * "timeout", "sim", "internal"), or "interrupted"
      * when a stop flag cancelled the point before it started. Empty
      * on success.
      */
@@ -150,7 +150,8 @@ class SweepEngine
 
     /**
      * Default worker count: COBRA_JOBS when set (clamped to >= 1),
-     * else the hardware concurrency, else 1.
+     * else the hardware concurrency, else 1. A set COBRA_JOBS that is
+     * not decimal digits in [0, UINT_MAX] throws guard::ConfigError.
      */
     static unsigned defaultJobs();
 

@@ -31,8 +31,7 @@ cfiTypeOf(OpClass op)
 
 /** Warm one fetch packet through the real BPU protocol. */
 std::uint64_t
-warmPacket(sim::Simulator& s, std::uint64_t budget,
-           const FastForwardOptions& opts)
+warmPacket(sim::Simulator& s, std::uint64_t budget)
 {
     bpu::BranchPredictorUnit& bpu = s.bpu();
     exec::Oracle& oracle = s.oracle();
@@ -76,13 +75,11 @@ warmPacket(sim::Simulator& s, std::uint64_t budget,
         got[nGot] = Got{di, slot, kInvalidAddr};
 
         const OpClass op = di.si->op;
-        if (opts.warmCaches) {
-            caches.fetchAccess(di.pc);
-            if (op == OpClass::Load)
-                caches.loadAccess(di.memAddr);
-            else if (op == OpClass::Store)
-                caches.storeAccess(di.memAddr);
-        }
+        caches.fetchAccess(di.pc);
+        if (op == OpClass::Load)
+            caches.loadAccess(di.memAddr);
+        else if (op == OpClass::Store)
+            caches.storeAccess(di.memAddr);
 
         if (op == OpClass::Call || op == OpClass::IndirectCall) {
             ras.push(di.pc + kInstBytes);
@@ -187,29 +184,12 @@ warmPacket(sim::Simulator& s, std::uint64_t budget,
 } // namespace
 
 FastForwardResult
-fastForward(sim::Simulator& s, std::uint64_t insts,
-            const FastForwardOptions& opts)
+fastForward(sim::Simulator& s, std::uint64_t insts)
 {
     FastForwardResult out;
-    exec::Oracle& oracle = s.oracle();
-
     while (out.insts < insts) {
-        if (opts.warmPredictor) {
-            out.insts += warmPacket(s, insts - out.insts, opts);
-            ++out.packets;
-            continue;
-        }
-        const exec::DynInst di = oracle.consume();
-        ++out.insts;
-        if (opts.warmCaches) {
-            core::CacheHierarchy& caches = s.caches();
-            caches.fetchAccess(di.pc);
-            if (di.si->op == prog::OpClass::Load)
-                caches.loadAccess(di.memAddr);
-            else if (di.si->op == prog::OpClass::Store)
-                caches.storeAccess(di.memAddr);
-        }
-        oracle.retireUpTo(di.seq);
+        out.insts += warmPacket(s, insts - out.insts);
+        ++out.packets;
     }
 
     // ---- Quiesce: drain predictor updates, re-point fetch -------------

@@ -2,8 +2,8 @@
  * @file
  * Warp functional fast-forward: advances a Simulator's architectural
  * program state (the oracle's execution cursor) without running the
- * detailed pipeline, optionally warming the predictors, caches, and
- * RAS in a cheap update-only mode along the way.
+ * detailed pipeline, warming the predictors, caches, and RAS in a
+ * cheap update-only mode along the way.
  *
  * Warming drives the real BPU query/finalize/resolve/commit protocol
  * one fetch packet at a time with perfect (architectural) outcomes,
@@ -25,18 +25,10 @@ class Simulator;
 
 namespace cobra::warp {
 
-struct FastForwardOptions
-{
-    /** Train predictors (and the RAS) with architectural outcomes. */
-    bool warmPredictor = true;
-    /** Touch the cache hierarchy with fetch/load/store accesses. */
-    bool warmCaches = true;
-};
-
 struct FastForwardResult
 {
     std::uint64_t insts = 0;   ///< Instructions advanced.
-    std::uint64_t packets = 0; ///< Fetch packets warmed (0 when off).
+    std::uint64_t packets = 0; ///< Fetch packets warmed.
 };
 
 /**
@@ -45,8 +37,7 @@ struct FastForwardResult
  * PC. Throws guard::CheckpointError if the predictor fails to drain
  * (which would leave un-checkpointable in-flight state).
  */
-FastForwardResult fastForward(sim::Simulator& s, std::uint64_t insts,
-                              const FastForwardOptions& opts = {});
+FastForwardResult fastForward(sim::Simulator& s, std::uint64_t insts);
 
 } // namespace cobra::warp
 

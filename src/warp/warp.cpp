@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "guard/errors.hpp"
+#include "warp/fastforward.hpp"
 #include "warp/snapshot.hpp"
 
 namespace cobra::warp {
@@ -119,7 +120,7 @@ prepare(const WarpJob& job, JobRun& run)
     std::uint64_t ffAt = 0;
     for (unsigned i = 0; i < K; ++i) {
         const std::uint64_t start = est.intervals[i].sampleStart;
-        fastForward(master, start - ffAt, wcfg.ff);
+        fastForward(master, start - ffAt);
         ffAt = start;
         snaps[i] = std::make_shared<Snapshot>(captureSnapshot(master));
         // The backend commits nothing during functional fast-forward,

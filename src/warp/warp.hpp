@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "sim/sweep.hpp"
-#include "warp/fastforward.hpp"
 #include "warp/snapshot.hpp"
 
 namespace cobra::warp {
@@ -64,8 +63,6 @@ struct WarpConfig
     bool progress = false;
     /** Persist per-interval checkpoints here when non-empty. */
     std::string checkpointDir;
-    /** Fast-forward warming mode. */
-    FastForwardOptions ff{};
 
     // ---- Warm-state cache hooks (cobra_serve) -------------------------
     //

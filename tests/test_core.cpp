@@ -195,8 +195,7 @@ TEST(CoreIntegration, GhistRepairModesOrdered)
 
     auto runWith = [&](bpu::GhistRepairMode m) {
         sim::SimConfig c = cfg;
-        c.frontend.ghistMode = m;
-        c.backend.ghistMode = m;
+        c.bpu.ghistMode = m;
         sim::Simulator s(p, sim::buildTopology(sim::Design::TageL), c);
         return s.run();
     };

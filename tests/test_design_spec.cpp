@@ -118,8 +118,7 @@ TEST(DesignSpec, SpecBuiltMatchesPresetBuiltAcrossVariants)
                 cfg->warmupInsts = 2000;
                 cfg->maxInsts = 30'000;
                 cfg->backend.sfbEnabled = v.sfb;
-                cfg->frontend.ghistMode = v.ghist;
-                cfg->backend.ghistMode = v.ghist;
+                cfg->bpu.ghistMode = v.ghist;
             }
             const auto [rp, sp] =
                 runPoint(sim::buildTopology(d), pcfg, "leela");

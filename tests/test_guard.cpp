@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "guard/contract_auditor.hpp"
 #include "guard/errors.hpp"
 #include "guard/fault_injector.hpp"
@@ -377,19 +379,39 @@ TEST(Watchdog, DeadlockProducesPostMortem)
     EXPECT_GT(r.postMortem.noProgressCycles, 1'000u);
 }
 
-TEST(Watchdog, RunCheckedThrowsDeadlockError)
+TEST(Watchdog, StallOnTheMaxCyclesTickAgreesAcrossDrives)
 {
+    // run() and a sliced advanceTo() + finishRun() drive must agree on
+    // every field, including whether the run deadlocked, when
+    // maxCycles lands just before, on, or just after the cycle where
+    // the watchdog fires.
     const auto prof = prog::WorkloadLibrary::profile("coremark");
     const prog::Program p = prog::buildWorkload(prof);
-    sim::Simulator s(p, sim::buildTopology(sim::Design::B2),
-                     stallingConfig());
-    try {
-        s.runChecked();
-        FAIL() << "expected DeadlockError";
-    } catch (const guard::DeadlockError& e) {
-        EXPECT_NE(std::string(e.what()).find("deadlock"),
-                  std::string::npos);
-        EXPECT_NE(e.postMortem().find("ROB"), std::string::npos);
+    sim::SimConfig cfg = stallingConfig();
+    cfg.warmupInsts = 0; // the stall falls in the measured region
+    Cycle stall = 0;
+    {
+        sim::Simulator s(p, sim::buildTopology(sim::Design::B2), cfg);
+        ASSERT_TRUE(s.run().deadlocked);
+        stall = s.cycles();
+    }
+    for (const Cycle maxCycles : {stall - 1, stall, stall + 1}) {
+        cfg.maxCycles = maxCycles;
+        sim::Simulator direct(p, sim::buildTopology(sim::Design::B2),
+                              cfg);
+        const sim::SimResult want = direct.run();
+        sim::Simulator sliced(p, sim::buildTopology(sim::Design::B2),
+                              cfg);
+        Cycle stop = 500;
+        while (sliced.advanceTo(stop))
+            stop += 500;
+        const sim::SimResult got = sliced.finishRun();
+        EXPECT_EQ(want.deadlocked, maxCycles >= stall)
+            << "maxCycles " << maxCycles;
+        EXPECT_EQ(want.cycles, std::min(stall, maxCycles));
+        EXPECT_TRUE(sim::diffFields(want, got).empty())
+            << "maxCycles " << maxCycles << ": sliced drive differs in "
+            << sim::diffFields(want, got).front();
     }
 }
 

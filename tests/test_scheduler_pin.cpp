@@ -158,8 +158,7 @@ checkPinned(const std::vector<Case>& cases)
         cfg.warmupInsts = 2'000;
         cfg.maxInsts = 20'000;
         cfg.backend.sfbEnabled = c.sfb;
-        cfg.frontend.ghistMode = c.ghist;
-        cfg.backend.ghistMode = c.ghist;
+        cfg.bpu.ghistMode = c.ghist;
         if (c.stress)
             test::useStressCore(cfg);
 

@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "guard/errors.hpp"
 #include "program/workload.hpp"
 #include "sim/presets.hpp"
 #include "sim/sweep.hpp"
@@ -336,6 +337,13 @@ TEST(SweepEngine, DefaultJobsHonoursEnvironment)
     EXPECT_EQ(sim::SweepEngine::defaultJobs(), 3u);
     ::setenv("COBRA_JOBS", "0", 1); // nonsense clamps to 1
     EXPECT_EQ(sim::SweepEngine::defaultJobs(), 1u);
+    // Anything but decimal digits up to UINT_MAX is an error, not a
+    // silent 1 or a value wrapped modulo 2^32.
+    for (const char* bad : {"abc", "-3", "4294967297", "", "+2", "3 "}) {
+        ::setenv("COBRA_JOBS", bad, 1);
+        EXPECT_THROW(sim::SweepEngine::defaultJobs(), guard::ConfigError)
+            << "COBRA_JOBS='" << bad << "'";
+    }
     ::unsetenv("COBRA_JOBS");
     EXPECT_GE(sim::SweepEngine::defaultJobs(), 1u);
 }

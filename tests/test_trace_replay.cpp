@@ -106,13 +106,11 @@ TEST(TraceReplay, BitIdenticalUnderSfbGhistAuditAndSerializeVariants)
         {"sfb", [](sim::SimConfig& c) { c.backend.sfbEnabled = true; }},
         {"ghist-none",
          [](sim::SimConfig& c) {
-             c.frontend.ghistMode = bpu::GhistRepairMode::None;
-             c.backend.ghistMode = bpu::GhistRepairMode::None;
+             c.bpu.ghistMode = bpu::GhistRepairMode::None;
          }},
         {"ghist-repair",
          [](sim::SimConfig& c) {
-             c.frontend.ghistMode = bpu::GhistRepairMode::RepairOnly;
-             c.backend.ghistMode = bpu::GhistRepairMode::RepairOnly;
+             c.bpu.ghistMode = bpu::GhistRepairMode::RepairOnly;
          }},
         {"audit", [](sim::SimConfig& c) { c.audit = true; }},
         {"serialize",

@@ -544,20 +544,6 @@ TEST(FastForward, AdvancesAndStaysCheckpointable)
     EXPECT_FALSE(after.deadlocked);
 }
 
-TEST(FastForward, NoWarmModeStillAdvancesArchitecture)
-{
-    const prog::Program& p = cache().get("x264");
-    const sim::SimConfig cfg = smallCfg(sim::Design::B2);
-    sim::Simulator s(p, sim::buildTopology(sim::Design::B2), cfg);
-
-    warp::FastForwardOptions off;
-    off.warmPredictor = false;
-    off.warmCaches = false;
-    const warp::FastForwardResult r = warp::fastForward(s, 10000, off);
-    EXPECT_EQ(r.insts, 10000u);
-    EXPECT_EQ(r.packets, 0u);
-}
-
 // ---------------------------------------------------------------------
 // Warp driver
 // ---------------------------------------------------------------------

@@ -442,8 +442,7 @@ runMain(int argc, char** argv)
             sim::SimConfig cfg = sim::makeConfig(design);
             cfg.maxInsts = insts;
             cfg.warmupInsts = warmup;
-            cfg.frontend.ghistMode = ghist;
-            cfg.backend.ghistMode = ghist;
+            cfg.bpu.ghistMode = ghist;
             cfg.backend.sfbEnabled = sfb;
             cfg.frontend.serializeFetch = serialize;
             cfg.deadlockCycles = deadlockCycles;
@@ -521,8 +520,7 @@ runMain(int argc, char** argv)
                 std::chrono::duration<double>(t1 - t0).count();
             outcomes.push_back(std::move(o));
         }
-        const unsigned effJobs =
-            jobs == 0 ? sim::SweepEngine::defaultJobs() : jobs;
+        const unsigned effJobs = engine.jobs();
         const bool interrupted =
             g_interrupted.load(std::memory_order_relaxed);
         if (!out.resultsJsonPath.empty()) {
@@ -657,12 +655,6 @@ main(int argc, char** argv)
 {
     try {
         return runMain(argc, argv);
-    } catch (const guard::ContractViolation& e) {
-        std::cerr << "error: " << e.what() << "\n";
-        return 1;
-    } catch (const guard::DeadlockError& e) {
-        std::cerr << "error: " << e.what() << "\n" << e.postMortem();
-        return 1;
     } catch (const std::exception& e) {
         std::cerr << "error: " << e.what() << "\n";
         return 1;
