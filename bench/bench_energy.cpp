@@ -26,17 +26,20 @@ main()
 
     const std::vector<sim::Design> designs = sim::paperDesigns();
     std::vector<std::size_t> handles;
-    for (sim::Design d : designs)
-        handles.push_back(sweep.add(d, "gcc"));
-
-    // The energy report needs the live Simulator, so it is gathered
-    // in the post-run hook; each point writes only its own slot.
-    std::vector<phys::EnergyReport> reports(handles.size());
-    sweep.run([&](std::size_t h, sim::Simulator& s,
-                  const sim::SimResult&, const sim::SweepPoint&,
-                  std::ostream&) {
-        reports.at(h) = s.bpu().energyReport(model);
-    });
+    // The energy report needs the live Simulator, so each point's
+    // execute hook gathers it into the point's own slot.
+    std::vector<phys::EnergyReport> reports(designs.size());
+    for (std::size_t i = 0; i < designs.size(); ++i) {
+        sim::SweepPoint p =
+            sim::SweepPoint::preset(designs[i], sweep.workload("gcc"));
+        p.execute = [&reports, &model, i](sim::Simulator& s) {
+            const sim::SimResult r = s.run();
+            reports[i] = s.bpu().energyReport(model);
+            return r;
+        };
+        handles.push_back(sweep.add(std::move(p)));
+    }
+    sweep.run();
 
     TextTable t;
     t.addRow({"Design", "nJ / kilo-inst", "accuracy", "top consumer"});
@@ -51,7 +54,7 @@ main()
     for (std::size_t i = 0; i < designs.size(); ++i) {
         const sim::Design d = designs[i];
         const auto& r = sweep.res(handles[i]);
-        const phys::EnergyReport& er = reports[handles[i]];
+        const phys::EnergyReport& er = reports[i];
         const double njPerKi =
             er.totalPj() / 1000.0 / (r.insts / 1000.0);
         std::string top = "?";

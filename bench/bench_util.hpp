@@ -166,26 +166,21 @@ class Sweep
     }
 
     /**
-     * Run every queued point; previously-run handles stay valid.
-     * @p postRun (optional) executes on the worker while the point's
-     * Simulator is still alive; its first argument is the point's
-     * global handle (as returned by add()).
+     * Queue a prepared point, such as one whose execute hook reads the
+     * live Simulator, at this harness's run scale.
      */
-    void
-    run(const sim::SweepEngine::PostRun& postRun = nullptr)
+    std::size_t
+    add(sim::SweepPoint p)
     {
-        const std::size_t base = outcomes_.size();
-        sim::SweepEngine::PostRun rebased;
-        if (postRun) {
-            rebased = [&postRun, base](std::size_t idx,
-                                       sim::Simulator& s,
-                                       const sim::SimResult& r,
-                                       const sim::SweepPoint& pt,
-                                       std::ostream& os) {
-                postRun(base + idx, s, r, pt, os);
-            };
-        }
-        for (auto& o : engine_.run(rebased))
+        applyScale(p.cfg);
+        return enqueue(std::move(p));
+    }
+
+    /** Run every queued point; previously-run handles stay valid. */
+    void
+    run()
+    {
+        for (auto& o : engine_.run())
             outcomes_.push_back(std::move(o));
     }
 

@@ -18,6 +18,18 @@ ghistRepairModeName(GhistRepairMode m)
     return "?";
 }
 
+std::optional<GhistRepairMode>
+ghistRepairModeFromName(std::string_view name)
+{
+    if (name == "none")
+        return GhistRepairMode::None;
+    if (name == "repair")
+        return GhistRepairMode::RepairOnly;
+    if (name == "replay")
+        return GhistRepairMode::RepairAndReplay;
+    return std::nullopt;
+}
+
 void
 BpuConfig::validate() const
 {

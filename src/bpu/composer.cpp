@@ -147,7 +147,8 @@ ComposedPredictor::ComposedPredictor(Topology topo, unsigned width)
         std::string gname = "bpu.comp." + components_[i]->name();
         for (std::size_t j = 0; j < i; ++j) {
             if (components_[j]->name() == components_[i]->name()) {
-                gname += "#" + std::to_string(i);
+                gname += '#';
+                gname += std::to_string(i);
                 break;
             }
         }

@@ -9,6 +9,9 @@
 #ifndef COBRA_BPU_GHIST_HPP
 #define COBRA_BPU_GHIST_HPP
 
+#include <optional>
+#include <string_view>
+
 #include "common/folded_history.hpp"
 #include "phys/area_model.hpp"
 
@@ -34,6 +37,14 @@ enum class GhistRepairMode : std::uint8_t
 
 /** Human-readable name of a repair mode. */
 const char* ghistRepairModeName(GhistRepairMode m);
+
+/**
+ * The repair mode a cobra_sim `--ghist` value or a cobra_serve
+ * `"ghist"` field names: none | repair | replay. Empty for any other
+ * name; each caller reports that in its own words.
+ */
+std::optional<GhistRepairMode> ghistRepairModeFromName(
+    std::string_view name);
 
 /**
  * The speculative global history register. Bit 0 is the most recent

@@ -13,23 +13,12 @@
 #include "search/driver.hpp"
 #include "sim/presets.hpp"
 #include "trace/replay.hpp"
+#include "warp/state_io.hpp"
 #include "warp/warp.hpp"
 
 namespace cobra::serve {
 
 namespace {
-
-/** FNV-1a over a byte string (the warm-cache content address). */
-std::uint64_t
-fnv1a(const std::string& s)
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
 
 std::string
 fragmentHead(const std::string& label, const std::string& status,
@@ -893,7 +882,9 @@ Daemon::configHash(const SweepRequest& r,
        << r.serialize << '|' << r.audit << '|' << r.faultRate << '|'
        << r.faultSeed << '|' << r.deadlockCycles << '|' << r.intervals
        << '|' << r.warmupCycles << '|' << r.sampleInsts;
-    return fnv1a(os.str());
+    const std::string key = os.str();
+    return warp::fnv1a(reinterpret_cast<const std::uint8_t*>(key.data()),
+                       key.size());
 }
 
 } // namespace cobra::serve

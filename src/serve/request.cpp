@@ -12,19 +12,6 @@ namespace cobra::serve {
 
 namespace {
 
-bpu::GhistRepairMode
-ghistFromName(const std::string& name)
-{
-    if (name == "none")
-        return bpu::GhistRepairMode::None;
-    if (name == "repair")
-        return bpu::GhistRepairMode::RepairOnly;
-    if (name == "replay")
-        return bpu::GhistRepairMode::RepairAndReplay;
-    throw RequestError("unknown ghist mode '" + name +
-                       "' (none | repair | replay)");
-}
-
 std::vector<std::string>
 stringList(const Json& doc, const char* key)
 {
@@ -200,7 +187,12 @@ SweepRequest::parse(const std::string& text,
         r.tracePath = doc.getString("trace", "");
         r.insts = doc.getU64("insts", r.insts);
         r.warmup = doc.getU64("warmup", r.warmup);
-        r.ghist = ghistFromName(doc.getString("ghist", "replay"));
+        const std::string ghist = doc.getString("ghist", "replay");
+        const auto mode = bpu::ghistRepairModeFromName(ghist);
+        if (!mode)
+            throw RequestError("unknown ghist mode '" + ghist +
+                               "' (none | repair | replay)");
+        r.ghist = *mode;
         r.sfb = doc.getBool("sfb", false);
         r.serialize = doc.getBool("serialize", false);
         r.audit = doc.getBool("audit", false);

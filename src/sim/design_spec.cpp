@@ -11,9 +11,7 @@
 #include "components/loop.hpp"
 #include "components/tage.hpp"
 #include "components/tourney.hpp"
-#include "guard/contract_auditor.hpp"
 #include "guard/errors.hpp"
-#include "guard/fault_injector.hpp"
 #include "serve/json.hpp"
 
 namespace cobra::sim {
@@ -605,41 +603,6 @@ buildTopology(const DesignSpec& spec)
     return topo;
 }
 
-void
-applyGuardWrappers(bpu::Topology& topo, const GuardHooks& hooks)
-{
-    if (hooks.faults != nullptr && hooks.faults->enabled()) {
-        topo.wrapEach(
-            [&hooks](std::unique_ptr<bpu::PredictorComponent> c)
-                -> std::unique_ptr<bpu::PredictorComponent> {
-                return std::make_unique<guard::FaultInjector>(
-                    std::move(c), *hooks.faults);
-            });
-    }
-    if (hooks.audit) {
-        // Auditor outermost: it observes the composer's calls, not the
-        // injector's perturbations, so injected faults are (correctly)
-        // not reported as contract violations.
-        topo.wrapEach(
-            [&hooks](std::unique_ptr<bpu::PredictorComponent> c)
-                -> std::unique_ptr<bpu::PredictorComponent> {
-                auto a = std::make_unique<guard::ContractAuditor>(
-                    std::move(c));
-                if (hooks.auditors != nullptr)
-                    hooks.auditors->push_back(a.get());
-                return a;
-            });
-    }
-}
-
-bpu::Topology
-buildDesign(const DesignSpec& spec, const GuardHooks& hooks)
-{
-    bpu::Topology topo = buildTopology(spec);
-    applyGuardWrappers(topo, hooks);
-    return topo;
-}
-
 SimConfig
 makeConfig(const DesignSpec& spec)
 {
@@ -1222,13 +1185,6 @@ presetSpec(Design d)
       }
     }
     return spec;
-}
-
-bool
-isPresetName(const std::string& name)
-{
-    return name == "tourney" || name == "b2" || name == "tagel" ||
-           name == "tage-l" || name == "refbig" || name == "ref-big";
 }
 
 DesignSpec

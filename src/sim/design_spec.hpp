@@ -8,9 +8,11 @@
  * presets of sim/presets.hpp are re-expressed as specs (presetSpec),
  * cobra_sim's --design flags and cobra_serve's "designs" lists resolve
  * through presetSpec(name), and the search driver (src/search/)
- * generates specs programmatically. buildDesign(spec) is where guard
- * decorators (--audit / fault injection) are interposed, so spec-built
- * and preset-built designs get byte-identical wrapping.
+ * generates specs programmatically. buildTopology(spec) builds the
+ * bare topology; the Simulator constructor then interposes the guard
+ * decorators (--audit / fault injection) on every topology it is
+ * given, so spec-built and preset-built designs get byte-identical
+ * wrapping.
  *
  * Specs round-trip losslessly through JSON (toJson / fromJson) and are
  * validated with structured guard::ConfigError's naming the offending
@@ -27,11 +29,6 @@
 #include <vector>
 
 #include "sim/presets.hpp"
-
-namespace cobra::guard {
-class FaultEngine;
-class ContractAuditor;
-} // namespace cobra::guard
 
 namespace cobra::serve {
 class Json;
@@ -183,32 +180,11 @@ struct DesignSpec
 };
 
 /**
- * Guard-decorator options for buildDesign: the single place where
- * Topology::wrapEach is applied, so every construction path (presets,
- * spec files, search candidates) gets identical wrapping — fault
- * injector innermost, contract auditor outermost.
+ * Validate @p spec and build the bare topology it describes. The
+ * Simulator constructor adds the guard decorators (--audit / fault
+ * injection) to whatever topology it is given.
  */
-struct GuardHooks
-{
-    bool audit = false;
-    /** Wrap a FaultInjector around every component when enabled(). */
-    guard::FaultEngine* faults = nullptr;
-    /** Receives the auditors created when audit is set. */
-    std::vector<guard::ContractAuditor*>* auditors = nullptr;
-};
-
-/** Apply the guard decorators of @p hooks to an existing topology. */
-void applyGuardWrappers(bpu::Topology& topo, const GuardHooks& hooks);
-
-/** Build the bare (unwrapped) topology described by @p spec. */
 bpu::Topology buildTopology(const DesignSpec& spec);
-
-/**
- * The one design-construction path: validate, build the topology, and
- * apply guard decorators per @p hooks.
- */
-bpu::Topology buildDesign(const DesignSpec& spec,
-                          const GuardHooks& hooks = {});
 
 /**
  * SimConfig for @p spec: the spec's core/BPU/cache blocks layered over
@@ -239,9 +215,6 @@ DesignSpec presetSpec(Design d);
  * unknown name.
  */
 DesignSpec presetSpec(const std::string& name);
-
-/** True when @p name names a preset (accepted by presetSpec). */
-bool isPresetName(const std::string& name);
 
 } // namespace cobra::sim
 

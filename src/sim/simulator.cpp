@@ -1,11 +1,57 @@
 #include "sim/simulator.hpp"
 
-#include "sim/design_spec.hpp"
 #include "warp/state_io.hpp"
 
 #include <limits>
 
 namespace cobra::sim {
+
+namespace {
+
+/**
+ * Guard-decorator options for the Simulator constructor: the single
+ * place where Topology::wrapEach is applied, so every construction
+ * path (presets, spec files, search candidates) gets identical
+ * wrapping — fault injector innermost, contract auditor outermost.
+ */
+struct GuardHooks
+{
+    bool audit = false;
+    /** Wrap a FaultInjector around every component when enabled(). */
+    guard::FaultEngine* faults = nullptr;
+    /** Receives the auditors created when audit is set. */
+    std::vector<guard::ContractAuditor*>* auditors = nullptr;
+};
+
+/** Apply the guard decorators of @p hooks to an existing topology. */
+void
+applyGuardWrappers(bpu::Topology& topo, const GuardHooks& hooks)
+{
+    if (hooks.faults != nullptr && hooks.faults->enabled()) {
+        topo.wrapEach(
+            [&hooks](std::unique_ptr<bpu::PredictorComponent> c)
+                -> std::unique_ptr<bpu::PredictorComponent> {
+                return std::make_unique<guard::FaultInjector>(
+                    std::move(c), *hooks.faults);
+            });
+    }
+    if (hooks.audit) {
+        // Auditor outermost: it observes the composer's calls, not the
+        // injector's perturbations, so injected faults are (correctly)
+        // not reported as contract violations.
+        topo.wrapEach(
+            [&hooks](std::unique_ptr<bpu::PredictorComponent> c)
+                -> std::unique_ptr<bpu::PredictorComponent> {
+                auto a = std::make_unique<guard::ContractAuditor>(
+                    std::move(c));
+                if (hooks.auditors != nullptr)
+                    hooks.auditors->push_back(a.get());
+                return a;
+            });
+    }
+}
+
+} // namespace
 
 void
 OutputConfig::validate() const
@@ -76,8 +122,8 @@ Simulator::Simulator(const prog::Program& program, bpu::Topology topo,
     faults_ = std::make_unique<guard::FaultEngine>(cfg_.faultRate,
                                                    cfg_.faultSeed);
     // One wrapping path for every construction route (presets, spec
-    // files, search candidates): the builder's guard hook applies the
-    // fault injector innermost and the contract auditor outermost.
+    // files, search candidates): the fault injector innermost and the
+    // contract auditor outermost.
     applyGuardWrappers(topo,
                        GuardHooks{cfg_.audit, faults_.get(), &auditors_});
 

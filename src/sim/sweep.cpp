@@ -7,10 +7,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <deque>
 #include <fstream>
 #include <limits>
-#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -71,8 +69,7 @@ SweepEngine::add(SweepPoint p)
 }
 
 SweepOutcome
-SweepEngine::runPoint(std::size_t idx, const SweepPoint& pt,
-                      const PostRun& postRun) const
+SweepEngine::runPoint(std::size_t idx, const SweepPoint& pt) const
 {
     SweepOutcome out;
     out.label = pt.label;
@@ -82,11 +79,6 @@ SweepEngine::runPoint(std::size_t idx, const SweepPoint& pt,
         out.result = pt.execute ? pt.execute(s) : s.run();
         out.host.simCycles = s.cycles();
         out.host.simInsts = s.backend().committedInsts();
-        if (postRun) {
-            std::ostringstream oss;
-            postRun(idx, s, out.result, pt, oss);
-            out.postRunText = oss.str();
-        }
         // CobraScope renders on the worker, while the Simulator is
         // alive; the writers later concatenate in submission order.
         if (!pt.cfg.output.statsJsonPath.empty())
@@ -109,7 +101,7 @@ SweepEngine::runPoint(std::size_t idx, const SweepPoint& pt,
 }
 
 std::vector<SweepOutcome>
-SweepEngine::run(const PostRun& postRun)
+SweepEngine::run()
 {
     std::vector<SweepPoint> points = std::move(points_);
     points_.clear();
@@ -140,7 +132,7 @@ SweepEngine::run(const PostRun& postRun)
             outcomes[idx].errorClass = "interrupted";
             return;
         }
-        outcomes[idx] = runPoint(idx, points[idx], postRun);
+        outcomes[idx] = runPoint(idx, points[idx]);
         report(idx, outcomes[idx]);
     });
     return outcomes;
@@ -161,51 +153,20 @@ SweepEngine::runTasks(std::size_t num_tasks,
         return;
     }
 
-    // Work-stealing deques: tasks are dealt round-robin; a worker
-    // pops its own queue from the back (LIFO keeps its cache warm)
-    // and steals from other queues' fronts (FIFO takes the oldest,
-    // largest-remaining work first). Each task writes only its own
-    // result slots, so no synchronisation is needed on results.
-    struct WorkerQueue
-    {
-        std::mutex m;
-        std::deque<std::size_t> q;
-    };
-    std::vector<WorkerQueue> queues(workers);
-    for (std::size_t i = 0; i < num_tasks; ++i)
-        queues[i % workers].q.push_back(i);
-
-    auto work = [&](unsigned self) {
-        for (;;) {
-            std::size_t t = SIZE_MAX;
-            {
-                std::lock_guard<std::mutex> lk(queues[self].m);
-                if (!queues[self].q.empty()) {
-                    t = queues[self].q.back();
-                    queues[self].q.pop_back();
-                }
-            }
-            if (t == SIZE_MAX) {
-                for (unsigned v = 1; v < workers && t == SIZE_MAX;
-                     ++v) {
-                    WorkerQueue& victim = queues[(self + v) % workers];
-                    std::lock_guard<std::mutex> lk(victim.m);
-                    if (!victim.q.empty()) {
-                        t = victim.q.front();
-                        victim.q.pop_front();
-                    }
-                }
-            }
-            if (t == SIZE_MAX)
-                return; // All queues drained.
+    // One shared counter hands out the indices: every task is a whole
+    // simulation, lane or interval, so contention on it is negligible
+    // next to the work it hands out.
+    std::atomic<std::size_t> next{0};
+    auto work = [&] {
+        for (std::size_t t = next.fetch_add(1); t < num_tasks;
+             t = next.fetch_add(1))
             task(t);
-        }
     };
 
     std::vector<std::thread> pool;
     pool.reserve(workers);
     for (unsigned w = 0; w < workers; ++w)
-        pool.emplace_back(work, w);
+        pool.emplace_back(work);
     for (auto& t : pool)
         t.join();
 }

@@ -5,8 +5,8 @@
  * such grids. Each point owns its Simulator, Topology, and SimConfig
  * (isolation is structural: no predictor or pipeline state is shared
  * between points; workload Programs are shared read-only), so points
- * can run concurrently on a work-stealing thread pool while results
- * are collected in deterministic submission order.
+ * can run concurrently on a thread pool while results are collected
+ * in deterministic submission order.
  *
  * Determinism guarantee: a point's SimResult depends only on its own
  * inputs, never on the number of worker threads or the schedule, so a
@@ -76,8 +76,12 @@ struct SweepPoint
 
     /**
      * How to drive the point's Simulator; defaults to Simulator::run()
-     * when empty. The warp driver submits interval points whose hook
-     * restores a checkpoint and runs a bounded sample instead.
+     * when empty. It runs on the worker and may also read the live
+     * Simulator once it is done: cobra_sim renders --stats/--area text
+     * and bench_energy its energy report into caller-owned slots, one
+     * per point, so concurrent points never share one. The warp driver
+     * submits interval points whose hook restores a checkpoint and
+     * runs a bounded sample instead.
      */
     std::function<SimResult(Simulator&)> execute;
 
@@ -101,8 +105,6 @@ struct SweepOutcome
      * on success.
      */
     std::string errorClass;
-    /** Text captured from the post-run hook (stats/area dumps). */
-    std::string postRunText;
     /** CobraScope: this point's stats document (JSON object), rendered
      *  on the worker when cfg.output.statsJsonPath is set. */
     std::string statsJson;
@@ -114,8 +116,8 @@ struct SweepOutcome
 };
 
 /**
- * Work-stealing pool over sweep points. Submission is cheap (points
- * are stored until run()); run() executes every point and returns
+ * Thread pool over sweep points. Submission is cheap (points are
+ * stored until run()); run() executes every point and returns
  * outcomes indexed exactly like the add() calls. With jobs() == 1 the
  * points run inline on the calling thread — the serial reference the
  * determinism tests compare against.
@@ -123,19 +125,6 @@ struct SweepOutcome
 class SweepEngine
 {
   public:
-    /**
-     * Hook run on the worker after a point's Simulator finishes,
-     * while the Simulator is still alive; whatever it writes to the
-     * stream is returned as SweepOutcome::postRunText (kept per-point
-     * so parallel runs print in submission order). The first argument
-     * is the point's submission index — hooks running concurrently
-     * may use it to write into pre-sized per-point slots without
-     * locking.
-     */
-    using PostRun =
-        std::function<void(std::size_t, Simulator&, const SimResult&,
-                           const SweepPoint&, std::ostream&)>;
-
     /**
      * Hook run as each point completes, on the worker that ran it
      * (concurrently under --jobs N — the callee synchronises). The
@@ -158,15 +147,13 @@ class SweepEngine
     unsigned jobs() const { return jobs_; }
 
     /**
-     * Run @p num_tasks independent tasks on this engine's
-     * work-stealing pool: task indices are dealt round-robin across
-     * min(jobs, num_tasks) workers; each worker pops its own deque
-     * from the back (LIFO keeps its cache warm) and steals from
-     * other queues' fronts (FIFO takes the oldest, largest-remaining
-     * work first). Tasks must write only their own result slots —
-     * completion order is unspecified, but every task has finished
-     * when the call returns. With one worker the tasks run inline in
-     * index order on the calling thread (the deterministic,
+     * Run @p num_tasks independent tasks on this engine's pool:
+     * min(jobs, num_tasks) workers each take the next unclaimed index
+     * from one shared counter until every index is taken, so each
+     * index runs exactly once. Tasks must write only their own result
+     * slots — completion order is unspecified, but every task has
+     * finished when the call returns. With one worker the tasks run
+     * inline in index order on the calling thread (the deterministic,
      * zero-overhead path). This is the scheduling primitive under
      * run(), which submits one task per point; the batch trace
      * evaluator (trace/batch_eval.hpp) submits one task per lane.
@@ -203,11 +190,10 @@ class SweepEngine
      * by submission index regardless of worker schedule. A point that
      * throws reports through SweepOutcome::error; the sweep continues.
      */
-    std::vector<SweepOutcome> run(const PostRun& postRun = nullptr);
+    std::vector<SweepOutcome> run();
 
   private:
-    SweepOutcome runPoint(std::size_t idx, const SweepPoint& pt,
-                          const PostRun& postRun) const;
+    SweepOutcome runPoint(std::size_t idx, const SweepPoint& pt) const;
 
     bool stopped() const
     {

@@ -100,8 +100,9 @@ TEST(ComposerEdge, DeepChainEvaluates)
     Topology topo;
     std::vector<PredictorComponent*> comps;
     for (int i = 0; i < 6; ++i) {
-        comps.push_back(topo.make<Hbim>("C" + std::to_string(i),
-                                        bim(i % 2 ? 2 : 3)));
+        comps.push_back(
+            topo.make<Hbim>(std::string("C").append(std::to_string(i)),
+                            bim(i % 2 ? 2 : 3)));
     }
     topo.setRoot(topo.chainOf(comps));
     ComposedPredictor cp(std::move(topo), 4);

@@ -85,9 +85,6 @@ TEST(DesignSpec, PresetNamesResolveWithAliases)
     EXPECT_EQ(sim::presetSpec("tagel").name, "TAGE-L");
     EXPECT_EQ(sim::presetSpec("tage-l"), sim::presetSpec("tagel"));
     EXPECT_EQ(sim::presetSpec("ref-big"), sim::presetSpec("refbig"));
-    EXPECT_TRUE(sim::isPresetName("tourney"));
-    EXPECT_TRUE(sim::isPresetName("b2"));
-    EXPECT_FALSE(sim::isPresetName("bogus"));
     EXPECT_THROW(sim::presetSpec("bogus"), ConfigError);
 }
 

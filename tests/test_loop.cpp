@@ -103,8 +103,9 @@ TEST(LoopPredictor, IgnoresShortTrips)
     const auto outs = test::loopOutcomes(2, 200);
     for (std::size_t i = 0; i < outs.size(); ++i) {
         const bool pred = drv.round(outs[i]);
-        if (i > 100)
+        if (i > 100) {
             EXPECT_TRUE(pred) << "short loops must pass through";
+        }
     }
 }
 

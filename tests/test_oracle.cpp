@@ -178,10 +178,12 @@ TEST(Oracle, RegisterDependencesPointBackward)
     Oracle o(p);
     for (int i = 0; i < 5000; ++i) {
         const DynInst& di = o.consume();
-        if (di.dep1 != kInvalidSeq)
+        if (di.dep1 != kInvalidSeq) {
             EXPECT_LT(di.dep1, di.seq);
-        if (di.dep2 != kInvalidSeq)
+        }
+        if (di.dep2 != kInvalidSeq) {
             EXPECT_LT(di.dep2, di.seq);
+        }
         o.retireUpTo(di.seq);
     }
 }

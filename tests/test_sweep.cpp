@@ -200,8 +200,9 @@ TEST(SweepEngine, SerialAndParallelAgreeOnFailuresToo)
     for (std::size_t i = 0; i < serial.size(); ++i) {
         EXPECT_EQ(serial[i].error, parallel[i].error);
         EXPECT_EQ(serial[i].errorClass, parallel[i].errorClass);
-        if (serial[i].ok())
+        if (serial[i].ok()) {
             EXPECT_EQ(serial[i].result, parallel[i].result);
+        }
     }
 }
 
@@ -313,22 +314,22 @@ TEST(SweepEngine, HostCountersArePopulated)
     }
 }
 
-TEST(SweepEngine, PostRunHookCapturesPerPointText)
+TEST(SweepEngine, RunTasksRunsEveryIndexOnce)
 {
-    sim::SweepEngine engine(2);
-    engine.add(smallPoint(sim::Design::B2, "leela"));
-    engine.add(smallPoint(sim::Design::B2, "x264"));
-    const auto outs = engine.run(
-        [](std::size_t idx, sim::Simulator&, const sim::SimResult& r,
-           const sim::SweepPoint& pt, std::ostream& os) {
-            os << "point " << idx << " " << pt.label << " cycles "
-               << r.cycles;
-        });
-    ASSERT_EQ(outs.size(), 2u);
-    EXPECT_NE(outs[0].postRunText.find("point 0 B2/leela"),
-              std::string::npos);
-    EXPECT_NE(outs[1].postRunText.find("point 1 B2/x264"),
-              std::string::npos);
+    for (unsigned jobs : {1u, 2u, 3u, 8u}) {
+        const sim::SweepEngine engine(jobs);
+        for (std::size_t n : {0u, 1u, 7u, 1000u}) {
+            std::vector<std::atomic<unsigned>> runs(n);
+            engine.runTasks(n, [&](std::size_t t) {
+                ASSERT_LT(t, n);
+                runs[t].fetch_add(1);
+            });
+            for (std::size_t t = 0; t < n; ++t)
+                EXPECT_EQ(runs[t].load(), 1u)
+                    << "jobs " << jobs << ", " << n << " tasks, index "
+                    << t;
+        }
+    }
 }
 
 TEST(SweepEngine, DefaultJobsHonoursEnvironment)

@@ -62,11 +62,13 @@ TEST(Workload, EveryProfileBuildsValidProgram)
         // Every direct CF target must be inside the image.
         for (std::size_t i = 0; i < p.size(); ++i) {
             const auto& si = p.at(p.pcOf(i));
-            if (si.target != kInvalidAddr)
+            if (si.target != kInvalidAddr) {
                 EXPECT_TRUE(p.contains(si.target))
                     << name << " @" << i;
-            if (si.op == OpClass::CondBranch)
+            }
+            if (si.op == OpClass::CondBranch) {
                 EXPECT_NE(si.behaviorId, kNoBehavior) << name;
+            }
         }
     }
 }

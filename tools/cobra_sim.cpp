@@ -150,18 +150,46 @@ loadSpecFile(const std::string& path)
 bpu::GhistRepairMode
 parseGhist(const std::string& s)
 {
-    if (s == "none")
-        return bpu::GhistRepairMode::None;
-    if (s == "repair")
-        return bpu::GhistRepairMode::RepairOnly;
-    if (s == "replay")
-        return bpu::GhistRepairMode::RepairAndReplay;
+    if (const auto mode = bpu::ghistRepairModeFromName(s))
+        return *mode;
     throw std::runtime_error("unknown ghist mode: " + s);
 }
 
+/** The metric table of a detailed point. */
 void
-printWarpEstimate(const warp::WarpEstimate& est, bool sfb,
-                  double fault_rate, bool audit)
+printResult(std::ostream& os, const sim::SimResult& r, bool sfb,
+            double fault_rate, bool audit)
+{
+    TextTable t;
+    t.addRow({"metric", "value"});
+    auto row = [&t](const std::string& k, const std::string& v) {
+        t.beginRow();
+        t.cell(k);
+        t.cell(v);
+    };
+    row("instructions", std::to_string(r.insts));
+    row("cycles", std::to_string(r.cycles));
+    row("IPC", formatDouble(r.ipc(), 3));
+    row("cond branches", std::to_string(r.condBranches));
+    row("cond mispredicts", std::to_string(r.condMispredicts));
+    row("jalr mispredicts", std::to_string(r.jalrMispredicts));
+    row("branch MPKI", formatDouble(r.mpki(), 2));
+    row("accuracy", formatDouble(100 * r.accuracy(), 2) + "%");
+    if (sfb)
+        row("SFB conversions", std::to_string(r.sfbConversions));
+    if (fault_rate > 0.0) {
+        row("faults injected", std::to_string(r.faultsInjected));
+        row("updates dropped", std::to_string(r.updatesDropped));
+    }
+    if (audit)
+        row("contract checks", std::to_string(r.auditChecks));
+    t.print(os);
+}
+
+/** The metric table of a warp point's estimate. */
+void
+printWarpEstimate(std::ostream& os, const warp::WarpEstimate& est,
+                  bool sfb, double fault_rate, bool audit)
 {
     TextTable t;
     t.addRow({"metric", "value"});
@@ -197,7 +225,7 @@ printWarpEstimate(const warp::WarpEstimate& est, bool sfb,
     if (audit)
         row("contract checks",
             std::to_string(est.estimate.auditChecks));
-    t.print(std::cout);
+    t.print(os);
 }
 
 int
@@ -405,8 +433,10 @@ runMain(int argc, char** argv)
     std::signal(SIGINT, onSignal);
     std::signal(SIGTERM, onSignal);
     std::vector<std::string> headers;
-    std::vector<sim::DesignSpec> pointDesigns;
-    std::vector<sim::SweepPoint> warpJobs;
+    // What each finished point prints under its header, one slot per
+    // point so parallel points never share one.
+    std::vector<std::string> texts;
+    std::vector<sim::SweepPoint> warpPoints;
 
     for (const std::string& wl : workloads) {
         const prog::Program& program = cache.get(wl);
@@ -463,40 +493,70 @@ runMain(int argc, char** argv)
             };
             pt.program = &program;
             pt.cfg = cfg;
-            if (warpMode)
-                warpJobs.push_back(std::move(pt));
-            else
-                engine.add(std::move(pt));
+            const std::size_t idx = texts.size();
             headers.push_back(hdr.str());
-            pointDesigns.push_back(design);
+            texts.emplace_back();
+            if (warpMode) {
+                warpPoints.push_back(std::move(pt));
+                continue;
+            }
+            // Stats/area need the live Simulator, so the worker
+            // renders the point's whole text.
+            pt.execute = [&, idx, design](sim::Simulator& s) {
+                const sim::SimResult r = s.run();
+                std::ostringstream os;
+                printResult(os, r, sfb, faultRate, audit);
+                // A deadlocked run reports its post-mortem instead.
+                if (out.textStats && !r.deadlocked) {
+                    os << "\n";
+                    // The registry covers frontend/backend/bpu, the
+                    // per-component attribution, caches, and guard.
+                    s.statRegistry().dump(os);
+                    if (audit)
+                        os << "guard.audit_checks = " << r.auditChecks
+                           << "\n";
+                }
+                if (out.textArea && !r.deadlocked) {
+                    os << "\n";
+                    const phys::AreaModel model;
+                    const auto pr = s.bpu().areaReport(model);
+                    os << "predictor area (um^2):\n";
+                    for (const auto& item : pr.items)
+                        os << "  " << item.name << ": "
+                           << formatDouble(item.um2, 0) << "\n";
+                    const auto cr = sim::coreAreaReport(design, model);
+                    os << "core total: "
+                       << formatDouble(cr.total() / 1e6, 3)
+                       << " mm^2 (BPU "
+                       << formatDouble(100 * pr.total() / cr.total(), 1)
+                       << "%)\n";
+                }
+                texts[idx] = os.str();
+                return r;
+            };
+            engine.add(std::move(pt));
         }
     }
 
+    std::vector<sim::SweepOutcome> outcomes;
     if (warpMode) {
         // Warp points run one at a time: each runWarp drives its own
         // SweepEngine over the intervals, which is where the
-        // parallelism (and the --jobs setting) goes.
-        bool anyFail = false;
-        std::vector<sim::SweepOutcome> outcomes;
-        for (std::size_t i = 0; i < warpJobs.size(); ++i) {
-            const sim::SweepPoint& pt = warpJobs[i];
-            if (i > 0)
-                std::cout << "\n";
-            std::cout << headers[i];
-            sim::SweepOutcome o;
+        // parallelism (and the --jobs setting) goes. Like the engine,
+        // the stop flag is polled between points.
+        for (std::size_t i = 0; i < warpPoints.size(); ++i) {
+            const sim::SweepPoint& pt = warpPoints[i];
+            sim::SweepOutcome& o = outcomes.emplace_back();
             o.label = pt.label;
             if (g_interrupted.load(std::memory_order_relaxed)) {
                 o.error = "interrupted before start";
                 o.errorClass = "interrupted";
-                std::cerr << "skipped (interrupted): " << pt.label
-                          << "\n";
-                outcomes.push_back(std::move(o));
                 continue;
             }
             const auto t0 = std::chrono::steady_clock::now();
             try {
                 warp::WarpConfig w = wcfg;
-                if (!wcfg.checkpointDir.empty() && warpJobs.size() > 1)
+                if (!wcfg.checkpointDir.empty() && warpPoints.size() > 1)
                     w.checkpointDir =
                         wcfg.checkpointDir + "/" + pt.label;
                 const warp::WarpEstimate est =
@@ -509,72 +569,19 @@ runMain(int argc, char** argv)
                         pt.label, est.estimate,
                         warp::statsGroupsJson(est));
                 }
-                printWarpEstimate(est, sfb, faultRate, audit);
+                std::ostringstream os;
+                printWarpEstimate(os, est, sfb, faultRate, audit);
+                texts[i] = os.str();
             } catch (...) {
                 guard::captureCurrentException(o.error, o.errorClass);
-                std::cerr << "error: " << o.error << "\n";
-                anyFail = true;
             }
             const auto t1 = std::chrono::steady_clock::now();
             o.host.wallSeconds =
                 std::chrono::duration<double>(t1 - t0).count();
-            outcomes.push_back(std::move(o));
         }
-        const unsigned effJobs = engine.jobs();
-        const bool interrupted =
-            g_interrupted.load(std::memory_order_relaxed);
-        if (!out.resultsJsonPath.empty()) {
-            std::string extra = "\"mode\": \"warp\"";
-            if (interrupted)
-                extra += ",\n  \"interrupted\": true";
-            sim::writeSweepJson(out.resultsJsonPath, "cobra_sim",
-                                outcomes, effJobs, extra);
-        }
-        if (!out.statsJsonPath.empty())
-            sim::writeStatsJson(out.statsJsonPath, "cobra_sim",
-                                outcomes, effJobs);
-        if (interrupted) {
-            std::cerr << "interrupted: completed points flushed\n";
-            return 130;
-        }
-        return anyFail ? 1 : 0;
+    } else {
+        outcomes = engine.run();
     }
-
-    // Stats/area need the live Simulator, so they are rendered on the
-    // worker into per-point text and printed below in order.
-    sim::SweepEngine::PostRun postRun;
-    if (out.textStats || out.textArea) {
-        postRun = [&](std::size_t idx, sim::Simulator& s,
-                      const sim::SimResult& r,
-                      const sim::SweepPoint& pt, std::ostream& os) {
-            if (pt.cfg.output.textStats) {
-                os << "\n";
-                // The registry covers frontend/backend/bpu, the
-                // per-component attribution, caches, and guard.
-                s.statRegistry().dump(os);
-                if (pt.cfg.audit)
-                    os << "guard.audit_checks = " << r.auditChecks
-                       << "\n";
-            }
-            if (pt.cfg.output.textArea) {
-                os << "\n";
-                const phys::AreaModel model;
-                const auto pr = s.bpu().areaReport(model);
-                os << "predictor area (um^2):\n";
-                for (const auto& item : pr.items)
-                    os << "  " << item.name << ": "
-                       << formatDouble(item.um2, 0) << "\n";
-                const auto cr =
-                    sim::coreAreaReport(pointDesigns[idx], model);
-                os << "core total: "
-                   << formatDouble(cr.total() / 1e6, 3) << " mm^2 (BPU "
-                   << formatDouble(100 * pr.total() / cr.total(), 1)
-                   << "%)\n";
-            }
-        };
-    }
-
-    const std::vector<sim::SweepOutcome> outcomes = engine.run(postRun);
 
     bool anyFail = false;
     for (std::size_t i = 0; i < outcomes.size(); ++i) {
@@ -592,49 +599,24 @@ runMain(int argc, char** argv)
             }
             continue;
         }
-        const sim::SimResult& r = o.result;
-
-        TextTable t;
-        t.addRow({"metric", "value"});
-        auto row = [&t](const std::string& k, const std::string& v) {
-            t.beginRow();
-            t.cell(k);
-            t.cell(v);
-        };
-        row("instructions", std::to_string(r.insts));
-        row("cycles", std::to_string(r.cycles));
-        row("IPC", formatDouble(r.ipc(), 3));
-        row("cond branches", std::to_string(r.condBranches));
-        row("cond mispredicts", std::to_string(r.condMispredicts));
-        row("jalr mispredicts", std::to_string(r.jalrMispredicts));
-        row("branch MPKI", formatDouble(r.mpki(), 2));
-        row("accuracy", formatDouble(100 * r.accuracy(), 2) + "%");
-        if (sfb)
-            row("SFB conversions", std::to_string(r.sfbConversions));
-        if (faultRate > 0.0) {
-            row("faults injected", std::to_string(r.faultsInjected));
-            row("updates dropped", std::to_string(r.updatesDropped));
-        }
-        if (audit)
-            row("contract checks", std::to_string(r.auditChecks));
-        t.print(std::cout);
-
-        if (r.deadlocked) {
+        std::cout << texts[i];
+        if (o.result.deadlocked) {
             std::cerr << "\nerror: run aborted (no commit progress)\n"
-                      << r.diagnostics;
+                      << o.result.diagnostics;
             anyFail = true;
-            continue;
         }
-
-        std::cout << o.postRunText;
     }
 
     const bool interrupted =
         g_interrupted.load(std::memory_order_relaxed);
-    if (!out.resultsJsonPath.empty())
+    if (!out.resultsJsonPath.empty()) {
+        std::string extra = warpMode ? "\"mode\": \"warp\"" : "";
+        if (interrupted)
+            extra += (warpMode ? ",\n  " : "") +
+                     std::string("\"interrupted\": true");
         sim::writeSweepJson(out.resultsJsonPath, "cobra_sim", outcomes,
-                            engine.jobs(),
-                            interrupted ? "\"interrupted\": true" : "");
+                            engine.jobs(), extra);
+    }
     if (!out.statsJsonPath.empty())
         sim::writeStatsJson(out.statsJsonPath, "cobra_sim", outcomes,
                             engine.jobs());
