@@ -322,9 +322,33 @@ BranchPredictorUnit::squashAll()
     repairQueue_.clear();
 }
 
+bool
+BranchPredictorUnit::needsUpdate(const HistoryFileEntry& e)
+{
+    bool anyWork = e.cfiValid;
+    for (unsigned i = 0; i < e.fetchedSlots; ++i)
+        anyWork |= e.brMask[i] && !e.sfbMask[i];
+    return anyWork;
+}
+
+bool
+BranchPredictorUnit::idle() const
+{
+    if (!repairQueue_.empty())
+        return false;
+    if (hf_.empty())
+        return true;
+    // A committed head either drains for free (no work) or, once
+    // resolved, takes this cycle's first update slot.
+    const HistoryFileEntry& head = hf_.at(hf_.headPos());
+    return !head.committed || (!head.resolved && needsUpdate(head));
+}
+
 void
 BranchPredictorUnit::tick()
 {
+    if (idle())
+        return;
     // Repair walk has priority over commit updates (§IV-B2).
     unsigned walked = 0;
     while (walked < cfg_.walkWidth && !repairQueue_.empty()) {
@@ -350,20 +374,9 @@ BranchPredictorUnit::tick()
         return;
 
     // Branchless packets drain for free; real updates cost a slot.
-    while (!hf_.empty()) {
-        HistoryFileEntry& head = hf_.head();
-        bool anyWork = false;
-        for (unsigned i = 0; i < head.fetchedSlots; ++i)
-            anyWork |= head.brMask[i] && !head.sfbMask[i];
-        anyWork |= head.cfiValid;
-        if (!head.committed)
-            break;
-        if (!anyWork) {
-            hf_.dequeueHead();
-            continue;
-        }
-        break;
-    }
+    while (!hf_.empty() && hf_.head().committed &&
+           !needsUpdate(hf_.head()))
+        hf_.dequeueHead();
 
     // Gather this cycle's eligible commit updates without dequeuing
     // (events hold pointers into the entries), deliver them in one

@@ -158,6 +158,13 @@ class BranchPredictorUnit
     /** Advance the update/repair state machine by one cycle (§IV-B2). */
     void tick();
 
+    /**
+     * True when tick() would do nothing: no repair walk is queued and
+     * the history-file head can be neither dequeued nor updated. Only
+     * a commit or a resolution from the backend ends it.
+     */
+    bool idle() const;
+
     /** True while the repair walk occupies the machine. */
     bool walkBusy() const { return !repairQueue_.empty(); }
 
@@ -204,6 +211,10 @@ class BranchPredictorUnit
     void setTracer(scope::Tracer* t) { tracer_ = t; }
 
   private:
+    /** True when @p e carries a branch or CFI that trains at commit;
+     *  a committed entry without one drains for free. */
+    static bool needsUpdate(const HistoryFileEntry& e);
+
     /** Build the common ResolveEvent payload from an entry. */
     ResolveEvent makeEvent(const HistoryFileEntry& e, FtqPos pos) const;
 

@@ -33,6 +33,9 @@ inline constexpr SeqNum kInvalidSeq = std::numeric_limits<SeqNum>::max();
 /** Sentinel for "no address". */
 inline constexpr Addr kInvalidAddr = std::numeric_limits<Addr>::max();
 
+/** Sentinel for "no cycle": an event that never comes. */
+inline constexpr Cycle kNever = std::numeric_limits<Cycle>::max();
+
 /** Size of one instruction in bytes (fixed-width synthetic ISA). */
 inline constexpr unsigned kInstBytes = 4;
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <limits>
 #include <string>
 
 #include "warp/state_io.hpp"
@@ -13,9 +12,6 @@ namespace cobra::core {
 using prog::OpClass;
 
 namespace {
-
-/** No issued entry is waiting to complete. */
-constexpr Cycle kNeverDone = std::numeric_limits<Cycle>::max();
 
 void
 setBit(std::vector<std::uint64_t>& m, std::size_t slot)
@@ -68,7 +64,7 @@ Backend::Backend(exec::Oracle& oracle, bpu::BranchPredictorUnit& bpu,
         cap <<= 1;
     seqTable_.assign(cap, SeqSlot{});
     seqMask_ = cap - 1;
-    nextDoneCycle_ = kNeverDone;
+    nextDoneCycle_ = kNever;
 
     std::size_t robCap = 16;
     while (robCap < static_cast<std::size_t>(cfg_.robEntries))
@@ -317,7 +313,7 @@ Backend::completeAndResolve(Cycle now)
     // bound, exact after an uninterrupted walk) — skip the walk.
     if (issuedCount_ == 0 || now < nextDoneCycle_)
         return;
-    Cycle nextDone = kNeverDone;
+    Cycle nextDone = kNever;
     // Oldest first: branches resolve (and train the BPU) in age order.
     forEachOldestFirst(issuedSlots_, [&](std::size_t slot) {
         RobEntry& e = robBuf_[slot];
@@ -433,39 +429,47 @@ Backend::commit(Cycle now)
     committed_ += n;
 }
 
+Backend::IqClass
+Backend::iqClassOf(OpClass op)
+{
+    if (op == OpClass::Load || op == OpClass::Store)
+        return IqClass::Mem;
+    if (op == OpClass::FpAlu)
+        return IqClass::Fp;
+    return IqClass::Int;
+}
+
+Backend::StallCounter
+Backend::dispatchStall(const FetchedInst& fi) const
+{
+    if (robCount_ >= cfg_.robEntries)
+        return &Backend::stallRob_;
+    const OpClass op = fi.di.si->op;
+    const IqClass iq = iqClassOf(op);
+    const unsigned iqCap = iq == IqClass::Int  ? cfg_.intIqEntries
+                           : iq == IqClass::Mem ? cfg_.memIqEntries
+                                                : cfg_.fpIqEntries;
+    if (iqCount_[static_cast<unsigned>(iq)] >= iqCap)
+        return &Backend::stallIq_;
+    if (op == OpClass::Load && ldqCount_ >= cfg_.ldqEntries)
+        return &Backend::stallLdq_;
+    if (op == OpClass::Store && stqCount_ >= cfg_.stqEntries)
+        return &Backend::stallStq_;
+    return nullptr;
+}
+
 void
 Backend::dispatch(Cycle now)
 {
     unsigned n = 0;
     while (n < cfg_.coreWidth && !frontend_.bufferEmpty()) {
-        if (robCount_ >= cfg_.robEntries) {
-            ++stallRob_;
-            break;
-        }
         const FetchedInst& fi = frontend_.bufferFront();
+        if (const StallCounter stall = dispatchStall(fi)) {
+            ++(this->*stall);
+            break;
+        }
         const OpClass op = fi.di.si->op;
-
-        IqClass iq = IqClass::Int;
-        if (op == OpClass::Load || op == OpClass::Store)
-            iq = IqClass::Mem;
-        else if (op == OpClass::FpAlu)
-            iq = IqClass::Fp;
-
-        const unsigned iqCap = iq == IqClass::Int  ? cfg_.intIqEntries
-                               : iq == IqClass::Mem ? cfg_.memIqEntries
-                                                    : cfg_.fpIqEntries;
-        if (iqCount_[static_cast<unsigned>(iq)] >= iqCap) {
-            ++stallIq_;
-            break;
-        }
-        if (op == OpClass::Load && ldqCount_ >= cfg_.ldqEntries) {
-            ++stallLdq_;
-            break;
-        }
-        if (op == OpClass::Store && stqCount_ >= cfg_.stqEntries) {
-            ++stallStq_;
-            break;
-        }
+        const IqClass iq = iqClassOf(op);
 
         const std::size_t slot = (robHeadIdx_ + robCount_) & robMask_;
         RobEntry& e = robBuf_[slot];
@@ -522,6 +526,33 @@ Backend::tick(Cycle now)
     issue(now);
     commit(now);
     dispatch(now);
+}
+
+Cycle
+Backend::wakeCycle(Cycle now) const
+{
+    if (robCount_ != 0 && robAt(0).st == RobEntry::St::Done)
+        return now; // Commit.
+    for (const SlotMask& m : ready_)
+        for (const std::uint64_t w : m)
+            if (w != 0)
+                return now; // Issue.
+    if (!frontend_.bufferEmpty() &&
+        dispatchStall(frontend_.bufferFront()) == nullptr)
+        return now; // Dispatch.
+    // Otherwise only time acts: an issued entry completes, or the next
+    // unarmed entry's decode delay passes.
+    Cycle wake = issuedCount_ != 0 ? nextDoneCycle_ : kNever;
+    if (iqCount_[0] + iqCount_[1] + iqCount_[2] != 0 && armed_ < robCount_)
+        wake = std::min(wake, robAt(armed_).earliestIssue);
+    return std::max(wake, now);
+}
+
+void
+Backend::creditIdle(std::uint64_t n)
+{
+    if (!frontend_.bufferEmpty())
+        this->*dispatchStall(frontend_.bufferFront()) += n;
 }
 
 void

@@ -58,6 +58,24 @@ class Backend
     /** Advance one cycle (execute-complete, issue, commit, dispatch). */
     void tick(Cycle now);
 
+    // ---- Idle-cycle skip (Simulator) -----------------------------------
+
+    /**
+     * First cycle at or after @p now at which tick() does more than
+     * bump a dispatch-stall counter: @p now while the ROB head is done,
+     * a ready bit is set or the fetch buffer's front instruction can
+     * dispatch; otherwise the earlier of the next completion
+     * (nextDoneCycle_) and the next unarmed entry's earliestIssue.
+     */
+    Cycle wakeCycle(Cycle now) const;
+
+    /**
+     * Credit the dispatch stall that @p n ticks bump while wakeCycle()
+     * lies beyond them: the one the fetch buffer's front instruction
+     * hits, if the buffer holds any.
+     */
+    void creditIdle(std::uint64_t n);
+
     bool robEmpty() const { return robCount_ == 0; }
     std::size_t robSize() const { return robCount_; }
 
@@ -210,6 +228,19 @@ class Backend
     /** Derive the wakeup state from the restored ROB, seq scoreboard
      *  and guard map. */
     void rebuildSched(warp::StateReader& r);
+
+    static IqClass iqClassOf(prog::OpClass op);
+
+    /** A dispatch-stall counter of this backend. */
+    using StallCounter = Stat<Counter> Backend::*;
+
+    /**
+     * The counter @p fi bumps when it cannot dispatch this cycle (ROB,
+     * issue queue, load queue, store queue, in that order), or nullptr
+     * when it can. dispatch() and creditIdle() both classify through
+     * it.
+     */
+    StallCounter dispatchStall(const FetchedInst& fi) const;
 
     void completeAndResolve(Cycle now);
     void issue(Cycle now);

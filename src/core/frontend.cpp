@@ -93,20 +93,40 @@ Frontend::killYoungerThan(std::size_t idx)
     releaseRange(idx + 1, pipe_.size());
 }
 
-bool
-Frontend::tryFinalize(Packet& p, Cycle now)
+Frontend::StallCounter
+Frontend::finalizeStall() const
 {
-    (void)now;
-    if (!bpu_.canFinalize()) {
-        ++stallHistfile_;
-        return false;
-    }
-    if (buffer_.size() + cfg_.fetchWidth > cfg_.fetchBufferInsts) {
-        ++stallFetchbuffer_;
-        return false;
-    }
+    if (!bpu_.canFinalize())
+        return &Frontend::stallHistfile_;
+    if (buffer_.size() + cfg_.fetchWidth > cfg_.fetchBufferInsts)
+        return &Frontend::stallFetchbuffer_;
+    return nullptr;
+}
 
-    const bpu::PredictionBundle bundle = bpu_.stage(p.query, finalStage_);
+Cycle
+Frontend::wakeCycle(Cycle now) const
+{
+    if (pipe_.empty())
+        return now; // F0 opens a packet.
+    const Packet& p = *pipe_.front();
+    if (now < p.stallUntil)
+        return p.stallUntil;
+    if (p.stage >= finalStage_ && finalizeStall() != nullptr)
+        return kNever;
+    return now;
+}
+
+void
+Frontend::creditIdle(Cycle now, std::uint64_t n)
+{
+    fetchBubbles_ += n;
+    if (now >= pipe_.front()->stallUntil)
+        this->*finalizeStall() += n;
+}
+
+void
+Frontend::finalize(Packet& p, const bpu::PredictionBundle& bundle)
+{
     const std::uint32_t rasPtrSnap = ras_.pointer();
 
     // ---- Pre-decode walk (the F3 checker of Fig. 6) -------------------
@@ -301,6 +321,29 @@ Frontend::tryFinalize(Packet& p, Cycle now)
         nextFetchPc_ = nextPc;
     p.stage = finalStage_ + 1; // Mark done (caller erases).
     finalizeSteer_ = steer;
+}
+
+bool
+Frontend::tryFinalize(std::size_t i, const bpu::PredictionBundle* bundle)
+{
+    if (const StallCounter stall = finalizeStall()) {
+        ++(this->*stall);
+        return false;
+    }
+    Packet& p = *pipe_[i];
+    // A packet that waited at the final stage evaluates its bundle
+    // only now; the re-evaluation replays the recorded results.
+    if (bundle != nullptr)
+        finalize(p, *bundle);
+    else
+        finalize(p, bpu_.stage(p.query, finalStage_));
+    const bool steer = finalizeSteer_;
+    releaseRange(i, i + 1);
+    if (steer) {
+        // Kill everything younger (refetch from nextPc).
+        packetsKilled_ += pipe_.size() - i;
+        releaseRange(i, pipe_.size());
+    }
     return true;
 }
 
@@ -318,14 +361,7 @@ Frontend::tick(Cycle now)
 
         if (p.stage >= finalStage_) {
             // Stalled at the final stage from a previous cycle.
-            if (tryFinalize(p, now)) {
-                const bool steer = finalizeSteer_;
-                releaseRange(i, i + 1);
-                if (steer) {
-                    // Kill everything younger (refetch from nextPc).
-                    packetsKilled_ += pipe_.size() - i;
-                    releaseRange(i, pipe_.size());
-                }
+            if (tryFinalize(i, nullptr)) {
                 --i;
                 continue;
             }
@@ -348,13 +384,7 @@ Frontend::tick(Cycle now)
         }
 
         if (p.stage == finalStage_) {
-            if (tryFinalize(p, now)) {
-                const bool steer = finalizeSteer_;
-                releaseRange(i, i + 1);
-                if (steer) {
-                    packetsKilled_ += pipe_.size() - i;
-                    releaseRange(i, pipe_.size());
-                }
+            if (tryFinalize(i, &b)) {
                 --i;
                 continue;
             }

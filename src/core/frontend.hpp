@@ -68,6 +68,24 @@ class Frontend
     /** Advance one cycle. */
     void tick(Cycle now);
 
+    // ---- Idle-cycle skip (Simulator) -----------------------------------
+
+    /**
+     * First cycle at or after @p now at which tick() does more than
+     * bump stall counters: the oldest packet's I-cache fill cycle while
+     * it waits on a miss; kNever while it waits at the final stage on
+     * a full history file or fetch buffer, which only the backend or
+     * the BPU can free; otherwise @p now.
+     */
+    Cycle wakeCycle(Cycle now) const;
+
+    /**
+     * Credit the counters that @p n ticks from @p now would bump while
+     * wakeCycle(now) lies beyond them: fetch_bubbles, and the finalize
+     * stall the oldest packet waits on.
+     */
+    void creditIdle(Cycle now, std::uint64_t n);
+
     // ---- Backend-facing fetch buffer ----------------------------------
 
     bool bufferEmpty() const { return buffer_.empty(); }
@@ -186,8 +204,28 @@ class Frontend
     /** Push this packet's predicted outcome bits into spec ghist. */
     void pushGhistBits(Packet& p, const bpu::PredictionBundle& b);
 
-    /** Finalize a packet at the last stage; false if stalled. */
-    bool tryFinalize(Packet& p, Cycle now);
+    /** A stall counter of this frontend. */
+    using StallCounter = Stat<Counter> Frontend::*;
+
+    /**
+     * The counter a packet at the final stage bumps when it cannot
+     * finalize this cycle (history file, then fetch buffer), or
+     * nullptr when it can. tick() and creditIdle() both classify
+     * through it.
+     */
+    StallCounter finalizeStall() const;
+
+    /**
+     * Finalize pipe_[@p i] unless finalizeStall() holds it, then
+     * release it, and everything younger on a steer. @p bundle is its
+     * final-stage bundle when this cycle evaluated it; nullptr makes a
+     * packet that waited evaluate it once it can leave. False if
+     * stalled.
+     */
+    bool tryFinalize(std::size_t i, const bpu::PredictionBundle* bundle);
+
+    /** Pre-decode, fire and deliver @p p with its final @p bundle. */
+    void finalize(Packet& p, const bpu::PredictionBundle& bundle);
 
     /** Kill packets younger than index @p idx (exclusive). */
     void killYoungerThan(std::size_t idx);

@@ -281,12 +281,12 @@ SweepRequest::parse(const std::string& text,
         if (r.warmupCycles < 1)
             throw RequestError("'warp.warmup_cycles' must be >= 1");
     }
-    // Run the full SimConfig validation (strict, as the CLI does) so
-    // e.g. warmup > insts or fault_rate > 1 is rejected at admission
-    // with the validator's own message, per design.
+    // Run the full SimConfig validation, as the CLI does, so e.g.
+    // fault_rate > 1 is rejected at admission with the validator's
+    // own message.
     try {
         for (const sim::DesignSpec& d : r.designs)
-            r.makeConfig(d).validate(/*strict=*/true);
+            r.makeConfig(d).validate();
     } catch (const guard::ConfigError& e) {
         throw RequestError(e.what());
     }

@@ -2,6 +2,7 @@
 
 #include "warp/state_io.hpp"
 
+#include <algorithm>
 #include <limits>
 
 namespace cobra::sim {
@@ -76,7 +77,7 @@ OutputConfig::validate() const
 }
 
 void
-SimConfig::validate(bool strict) const
+SimConfig::validate() const
 {
     auto require = [](bool ok, const char* field, const char* detail) {
         if (!ok)
@@ -104,20 +105,13 @@ SimConfig::validate(bool strict) const
             "must be a probability in [0, 1]");
     output.validate();
     bpu.validate();
-    if (strict) {
-        require(warmupInsts <= maxInsts, "warmupInsts",
-                "exceeds the measured-instruction budget (maxInsts); "
-                "the measured region would be empty");
-    }
 }
 
 Simulator::Simulator(const prog::Program& program, bpu::Topology topo,
                      const SimConfig& cfg)
     : cfg_(cfg), program_(program)
 {
-    // Structural validation only: deliberate experiments (e.g. a
-    // warmup-only run) may waive the strict heuristics.
-    cfg_.validate(false);
+    cfg_.validate();
 
     faults_ = std::make_unique<guard::FaultEngine>(cfg_.faultRate,
                                                    cfg_.faultSeed);
@@ -180,6 +174,33 @@ Simulator::tickOnce()
     backend_->tick(now_);
     bpu_->tick();
     ++now_;
+    ++ticked_;
+}
+
+void
+Simulator::step(Cycle limit)
+{
+    Cycle wake = frontend_->wakeCycle(now_);
+    if (wake > now_)
+        wake = bpu_->idle() ? std::min(wake, backend_->wakeCycle(now_))
+                            : now_;
+    // Never past the cycle on which the watchdog fires, so stalled()
+    // fires on the same cycle as when every cycle ticks.
+    const Cycle headroom = kNever - lastProgressCycle_;
+    const Cycle fires = cfg_.deadlockCycles < headroom
+                            ? lastProgressCycle_ + cfg_.deadlockCycles + 1
+                            : kNever;
+    wake = std::min({wake, limit, fires});
+    if (wake <= now_) {
+        tickOnce();
+        return;
+    }
+    // No unit can act before wake: each skipped tick would only bump
+    // the same stall counters.
+    const std::uint64_t n = wake - now_;
+    frontend_->creditIdle(now_, n);
+    backend_->creditIdle(n);
+    now_ = wake;
 }
 
 Simulator::Snapshot
@@ -287,11 +308,13 @@ Simulator::advanceTo(Cycle stop_cycle)
         runStateValid_ = true;
     }
 
+    const Cycle limit = std::min<Cycle>(cfg_.maxCycles, stop_cycle);
+
     // ---- Warmup ---------------------------------------------------------
     while (!baseCaptured_ &&
            backend_->committedInsts() < cfg_.warmupInsts &&
-           now_ < cfg_.maxCycles && now_ < stop_cycle) {
-        tickOnce();
+           now_ < limit) {
+        step(limit);
         if (stalled())
             return false;
     }
@@ -308,9 +331,8 @@ Simulator::advanceTo(Cycle stop_cycle)
 
     // ---- Measured region -------------------------------------------------
     const std::uint64_t target = cfg_.warmupInsts + cfg_.maxInsts;
-    while (backend_->committedInsts() < target &&
-           now_ < cfg_.maxCycles && now_ < stop_cycle) {
-        tickOnce();
+    while (backend_->committedInsts() < target && now_ < limit) {
+        step(limit);
         if (stalled())
             return false;
     }
@@ -348,9 +370,10 @@ Simulator::runInterval(std::uint64_t warmup_cycles,
     runStateValid_ = true;
 
     // ---- Detailed warmup (cycle-denominated, discarded) -----------------
-    const Cycle warmupEnd = now_ + warmup_cycles;
-    while (now_ < warmupEnd && now_ < cfg_.maxCycles) {
-        tickOnce();
+    const Cycle warmupEnd = std::min<Cycle>(now_ + warmup_cycles,
+                                            cfg_.maxCycles);
+    while (now_ < warmupEnd) {
+        step(warmupEnd);
         if (stalled()) {
             finishResult(r, true, now_ - lastProgressCycle_);
             return r;
@@ -363,7 +386,7 @@ Simulator::runInterval(std::uint64_t warmup_cycles,
     bool deadlocked = false;
     const std::uint64_t target = base_.insts + measure_insts;
     while (backend_->committedInsts() < target && now_ < cfg_.maxCycles) {
-        tickOnce();
+        step(cfg_.maxCycles);
         if (stalled()) {
             deadlocked = true;
             break;

@@ -227,12 +227,10 @@ struct SimConfig
 
     /**
      * Check invariants; throws guard::ConfigError on the first
-     * violation. @p strict additionally enforces heuristics a
-     * deliberate experiment may waive (e.g. warmup <= maxInsts);
-     * the CLI validates strictly, the Simulator constructor only
-     * structurally.
+     * violation. Any warmup is valid: the run measures maxInsts
+     * instructions after warmupInsts, however long the warmup.
      */
-    void validate(bool strict = true) const;
+    void validate() const;
 };
 
 /**
@@ -306,6 +304,13 @@ class Simulator
     /** Advance exactly one cycle (for tests). */
     void tickOnce();
 
+    /**
+     * Cycles the run loops evaluated with tickOnce(): the simulated
+     * cycles minus those skipped as idle. A host-side count, like wall
+     * time; not checkpointed.
+     */
+    std::uint64_t tickedCycles() const { return ticked_; }
+
     /** The fault engine (counts are zero when injection is off). */
     const guard::FaultEngine& faultEngine() const { return *faults_; }
 
@@ -338,6 +343,15 @@ class Simulator
 
     Snapshot snapshot() const;
 
+    /**
+     * One step of a run loop: tick once, or, when no unit can act
+     * before a later cycle, jump there and credit the skipped cycles'
+     * stall counters in bulk. The jump stops at @p limit and at the
+     * cycle on which the watchdog fires. Callers check stalled() and
+     * their loop condition after it, as after a tick.
+     */
+    void step(Cycle limit);
+
     /** Deadlock watchdog step over the progress members. */
     bool stalled();
 
@@ -367,6 +381,7 @@ class Simulator
     scope::StatRegistry registry_;
     std::unique_ptr<scope::Tracer> tracer_;
     Cycle now_ = 0;
+    std::uint64_t ticked_ = 0;
 
     // Run-loop state lives in members (not run() locals) so a
     // checkpoint taken mid-run resumes the measured region exactly.

@@ -79,6 +79,7 @@ SweepEngine::runPoint(std::size_t idx, const SweepPoint& pt) const
         out.result = pt.execute ? pt.execute(s) : s.run();
         out.host.simCycles = s.cycles();
         out.host.simInsts = s.backend().committedInsts();
+        out.host.tickedCycles = s.tickedCycles();
         // CobraScope renders on the worker, while the Simulator is
         // alive; the writers later concatenate in submission order.
         if (!pt.cfg.output.statsJsonPath.empty())
@@ -228,6 +229,8 @@ writeSweepJson(const std::string& path, const std::string& name,
               << "        \"wall_seconds\": " << o.host.wallSeconds
               << ",\n"
               << "        \"sim_cycles\": " << o.host.simCycles << ",\n"
+              << "        \"ticked_cycles\": " << o.host.tickedCycles
+              << ",\n"
               << "        \"sim_insts\": " << o.host.simInsts << ",\n"
               << "        \"kilocycles_per_sec\": "
               << o.host.kiloCyclesPerSec() << ",\n"

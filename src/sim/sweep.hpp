@@ -40,6 +40,9 @@ struct HostCounters
     std::uint64_t simCycles = 0;
     /** Total committed instructions, including warmup. */
     std::uint64_t simInsts = 0;
+    /** Of simCycles, those the loop evaluated rather than skipped as
+     *  idle (Simulator::tickedCycles). */
+    std::uint64_t tickedCycles = 0;
 
     /** Simulated kilocycles per host second. */
     double

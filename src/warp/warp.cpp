@@ -251,6 +251,7 @@ stitch(const WarpJob& job, JobRun& run,
         est.sampled.packetsKilled += o.result.packetsKilled;
         est.detailedInsts += o.result.insts;
         est.detailedCycles += run.totalCycles[i];
+        est.detailedTicks += o.host.tickedCycles;
         est.warmupCycles += run.totalCycles[i] - o.result.cycles;
     }
 

@@ -148,6 +148,9 @@ struct WarpEstimate
     std::uint64_t detailedCycles = 0;
     /** Of which warmup (discarded) cycles. */
     std::uint64_t warmupCycles = 0;
+    /** Of detailedCycles, those the loop evaluated rather than skipped
+     *  as idle. */
+    std::uint64_t detailedTicks = 0;
     /** Instructions measured in detail across all intervals. */
     std::uint64_t detailedInsts = 0;
 

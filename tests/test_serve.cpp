@@ -294,8 +294,8 @@ TEST(ServeRequest, SemanticViolationsAreRejected)
         "{\"client\": \"c\", \"designs\": [\"b2\"], "
         "\"workloads\": [\"leela\"], \"id\": \"../x\"}", // path escape
         "{\"client\": \"c\", \"designs\": [\"b2\"], "
-        "\"workloads\": [\"leela\"], \"insts\": 1000, "
-        "\"warmup\": 2000}", // warmup > insts (strict validate)
+        "\"workloads\": [\"leela\"], "
+        "\"fault_rate\": 1.5}", // fault_rate > 1 (SimConfig::validate)
         "{\"client\": \"c\", \"designs\": [\"b2\"], "
         "\"workloads\": [\"leela\"], "
         "\"warp\": {\"intervals\": 0}}", // bad warp block

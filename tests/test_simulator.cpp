@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "program/workload.hpp"
 #include "sim/presets.hpp"
 #include "sim/simulator.hpp"
@@ -88,6 +90,60 @@ TEST(Simulator, TickOnceAdvancesCycle)
     s.tickOnce();
     s.tickOnce();
     EXPECT_EQ(s.cycles(), 2u);
+}
+
+TEST(Simulator, IdleSkipMatchesTickingEveryCycle)
+{
+    // run() jumps over cycles in which no unit can act and credits
+    // their stall counters in bulk. Ticking every cycle with
+    // tickOnce() to the same committed count must end on the same
+    // cycle with every counter of every stat group equal.
+    static prog::WorkloadCache workloads;
+    for (Design d : {Design::Tourney, Design::B2, Design::TageL,
+                     Design::RefBig}) {
+        for (const char* wl : {"mcf", "x264"}) {
+            for (const bool stress : {false, true}) {
+                SimConfig cfg = makeConfig(d);
+                cfg.warmupInsts = 1'000;
+                cfg.maxInsts = 6'000;
+                cfg.backend.sfbEnabled = stress;
+                if (stress)
+                    test::useStressCore(cfg);
+                const std::string name = std::string(designName(d)) +
+                                         "/" + wl +
+                                         (stress ? "/stress/sfb" : "");
+                const prog::Program& p = workloads.get(wl);
+
+                Simulator skipping(p, buildTopology(d), cfg);
+                ASSERT_FALSE(skipping.run().deadlocked) << name;
+                Simulator ticking(p, buildTopology(d), cfg);
+                while (ticking.backend().committedInsts() <
+                       cfg.warmupInsts + cfg.maxInsts)
+                    ticking.tickOnce();
+
+                EXPECT_EQ(skipping.cycles(), ticking.cycles()) << name;
+                EXPECT_EQ(ticking.tickedCycles(), ticking.cycles());
+                EXPECT_LT(skipping.tickedCycles(), skipping.cycles())
+                    << name << ": no cycle was skipped";
+                const auto& want = ticking.statRegistry().nodes();
+                const auto& got = skipping.statRegistry().nodes();
+                ASSERT_EQ(want.size(), got.size());
+                for (std::size_t n = 0; n < want.size(); ++n) {
+                    const auto& we = want[n].group->entries();
+                    const auto& ge = got[n].group->entries();
+                    ASSERT_EQ(we.size(), ge.size());
+                    for (std::size_t e = 0; e < we.size(); ++e) {
+                        if (we[e].counter == nullptr)
+                            continue;
+                        EXPECT_EQ(ge[e].counter->value(),
+                                  we[e].counter->value())
+                            << name << ": " << want[n].path << "."
+                            << we[e].name;
+                    }
+                }
+            }
+        }
+    }
 }
 
 TEST(Simulator, MaxCyclesBoundsRunaway)

@@ -372,6 +372,14 @@ TEST(SweepJson, EmitsEveryPointWithHostBlock)
     EXPECT_NE(doc.find("\"cond_mispredicts\""), std::string::npos);
     EXPECT_NE(doc.find("      \"host\": {\n        \"wall_seconds\": "),
               std::string::npos);
+    // The loop evaluates some cycles and skips the idle rest.
+    const sim::HostCounters& h = outs[0].host;
+    EXPECT_GT(h.tickedCycles, 0u);
+    EXPECT_LT(h.tickedCycles, h.simCycles);
+    EXPECT_NE(doc.find("\"sim_cycles\": " + std::to_string(h.simCycles) +
+                       ",\n        \"ticked_cycles\": " +
+                       std::to_string(h.tickedCycles) + ",\n"),
+              std::string::npos);
 }
 
 TEST(SweepJson, EscapesControlAndQuoteCharacters)

@@ -484,7 +484,7 @@ runMain(int argc, char** argv)
             // run's stdout must `cmp` equal to the execute-mode run it
             // reproduces.
             cfg.replayTrace = replayTrace;
-            cfg.validate(/*strict=*/true);
+            cfg.validate();
 
             sim::SweepPoint pt;
             pt.label = design.name + "/" + program.name();
@@ -563,6 +563,7 @@ runMain(int argc, char** argv)
                     warp::runWarp(*pt.program, pt.topology, pt.cfg, w);
                 o.result = est.estimate;
                 o.host.simCycles = est.detailedCycles;
+                o.host.tickedCycles = est.detailedTicks;
                 o.host.simInsts = est.detailedInsts;
                 if (!out.statsJsonPath.empty()) {
                     o.statsJson = sim::renderPointStats(
