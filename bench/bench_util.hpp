@@ -78,9 +78,6 @@ throughputReps(unsigned fallback)
     return static_cast<unsigned>(n);
 }
 
-/** Cache of built workloads (kept as an alias for older call sites). */
-using WorkloadCache = prog::WorkloadCache;
-
 /** Print a PASS/FAIL shape check (the reproduction criterion). */
 inline bool
 shapeCheck(const std::string& what, bool ok)

@@ -77,9 +77,13 @@ main()
 
     // ---- Warp run ------------------------------------------------------
     const auto t1 = Clock::now();
-    const warp::WarpEstimate est = warp::runWarp(
-        prog, [] { return sim::buildTopology(sim::Design::B2); }, cfg,
-        w);
+    const std::vector<warp::WarpOutcome> out = warp::runWarps(
+        {{&prog, [] { return sim::buildTopology(sim::Design::B2); }, cfg,
+          w}},
+        0);
+    if (out[0].exception)
+        std::rethrow_exception(out[0].exception);
+    const warp::WarpEstimate& est = out[0].estimate;
     const double warpWall =
         std::chrono::duration<double>(Clock::now() - t1).count();
 

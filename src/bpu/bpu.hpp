@@ -137,9 +137,6 @@ class BranchPredictorUnit
     void pushSpecGhist(bool taken) { ghist_.push(taken); }
     void restoreSpecGhist(const HistoryRegister& h) { ghist_.restore(h); }
 
-    /** Local history read for Fetch-1 capture. */
-    std::uint64_t readLocalHistory(Addr pc) const { return lhist_.read(pc); }
-
     // ---- Backend interface ----------------------------------------------
 
     /**
@@ -171,7 +168,6 @@ class BranchPredictorUnit
     const HistoryFile& historyFile() const { return hf_; }
     HistoryFile& historyFile() { return hf_; }
     const LocalHistoryProvider& localHistory() const { return lhist_; }
-    const GlobalHistoryProvider& globalHistory() const { return ghist_; }
     const PathHistoryProvider& pathHistory() const { return phist_; }
 
     // ---- Accounting -----------------------------------------------------

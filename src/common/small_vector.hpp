@@ -122,9 +122,6 @@ class SmallVector
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
 
-    /** Inline capacity (elements held without heap storage). */
-    static constexpr std::size_t inlineCapacity() { return N; }
-
     T&
     operator[](std::size_t i)
     {

@@ -35,8 +35,6 @@ class TextTable
     /** Render with aligned columns and a rule under the header. */
     void print(std::ostream& os) const;
 
-    std::size_t numRows() const { return rows_.size(); }
-
   private:
     std::string title_;
     std::vector<std::vector<std::string>> rows_;

@@ -76,7 +76,6 @@ class Backend
      */
     void creditIdle(std::uint64_t n);
 
-    bool robEmpty() const { return robCount_ == 0; }
     std::size_t robSize() const { return robCount_; }
 
     /** Snapshot of the ROB head for the watchdog post-mortem. */
@@ -99,10 +98,6 @@ class Backend
     std::uint64_t committedCfis() const { return committedCfis_; }
     std::uint64_t condMispredicts() const { return condMispredicts_; }
     std::uint64_t jalrMispredicts() const { return jalrMispredicts_; }
-    std::uint64_t allMispredicts() const
-    {
-        return condMispredicts_ + jalrMispredicts_;
-    }
     std::uint64_t sfbConversions() const { return sfbConversions_; }
 
     StatGroup& stats() { return stats_; }

@@ -129,9 +129,6 @@ class Oracle
     /** Discard buffered instructions with seq <= @p seq (retired). */
     void retireUpTo(SeqNum seq);
 
-    /** Total correct-path instructions generated so far. */
-    SeqNum generatedCount() const { return genSeq_; }
-
     /**
      * Synthesise a wrong-path instruction at @p pc. Deterministic in
      * (pc, salt); does not disturb architectural state.

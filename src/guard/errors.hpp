@@ -128,15 +128,9 @@ class TimeoutError : public SimError
   public:
     TimeoutError(const std::string& what_ran, std::uint64_t limit_ms)
         : SimError("wall-clock timeout: " + what_ran + " exceeded " +
-                   std::to_string(limit_ms) + " ms"),
-          limitMs_(limit_ms)
+                   std::to_string(limit_ms) + " ms")
     {
     }
-
-    std::uint64_t limitMs() const { return limitMs_; }
-
-  private:
-    std::uint64_t limitMs_;
 };
 
 /**

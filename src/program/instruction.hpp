@@ -54,13 +54,6 @@ isControlFlow(OpClass op)
     }
 }
 
-/** True when the instruction always redirects control flow if executed. */
-constexpr bool
-isUnconditionalCf(OpClass op)
-{
-    return isControlFlow(op) && op != OpClass::CondBranch;
-}
-
 /** True for indirect-target control flow (target not in the encoding). */
 constexpr bool
 isIndirectCf(OpClass op)

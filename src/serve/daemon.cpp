@@ -1,6 +1,7 @@
 #include "serve/daemon.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <filesystem>
 #include <iostream>
@@ -104,6 +105,15 @@ searchFragment(const std::string& label, unsigned attempts,
        << indentInline(search::frontierJson(r), "      ") << ",\n"
        << "      \"wall_seconds\": " << wall_seconds << "\n    }";
     return os.str();
+}
+
+/** Wall-clock seconds since @p t0. */
+double
+secondsSince(std::chrono::steady_clock::time_point t0)
+{
+    return std::chrono::duration<double>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
 }
 
 std::string
@@ -502,9 +512,12 @@ Daemon::executeRequest(RequestState& rs, const std::atomic<bool>& stop)
                 runSearchPoint(rs, idx, attempt);
             }
         } else if (rs.req.warp) {
-            // Warp points run one at a time: each runWarp drives its
-            // own SweepEngine over the intervals (that is where the
-            // parallelism goes), mirroring cobra_sim --warp.
+            // Warp points run one at a time, each a one-job runWarps
+            // batch whose intervals share the pool. Serve does not
+            // batch them the way cobra_sim --warp does: the journal
+            // records each point as it finishes, and WarmCache's
+            // lookup and store hooks are not synchronised, which a
+            // batch's concurrent serial phases would need.
             for (std::size_t idx : pending) {
                 if (stop.load(std::memory_order_relaxed))
                     break;
@@ -575,58 +588,58 @@ Daemon::runDetailedRound(RequestState& rs,
 }
 
 void
+Daemon::runInlinePoint(RequestState& rs, std::size_t idx,
+                       unsigned attempt, const InlineWork& work)
+{
+    sim::SweepOutcome o;
+    o.label = rs.specs[idx].label;
+    const auto t0 = std::chrono::steady_clock::now();
+    std::string fragment;
+    try {
+        fragment = work(o, t0);
+    } catch (...) {
+        guard::captureCurrentException(o.error, o.errorClass);
+    }
+    o.host.wallSeconds = secondsSince(t0);
+
+    std::lock_guard<std::mutex> lk(finalizeM_);
+    handleOutcome(rs, idx, o, attempt, std::move(fragment));
+}
+
+void
 Daemon::runWarpPoint(RequestState& rs, std::size_t idx,
                      unsigned attempt)
 {
     const PointSpec& spec = rs.specs[idx];
     const SweepRequest& req = rs.req;
-
-    warp::WarpConfig w;
-    w.intervals = req.intervals;
-    w.warmupCycles = req.warmupCycles;
-    w.sampleInsts = req.sampleInsts;
-    w.jobs = cfg_.jobs;
-    const std::uint64_t hash = configHash(req, spec.design);
-    w.snapshotLookup = [this, &spec, &req,
-                        hash](unsigned i, warp::Snapshot& out) {
-        return warm_.lookup(
-            warm_.keyPath(spec.workload, hash, req.intervals, i), out);
-    };
-    w.snapshotStore = [this, &spec, &req,
-                       hash](unsigned i, const warp::Snapshot& snap) {
-        warm_.store(
-            warm_.keyPath(spec.workload, hash, req.intervals, i),
-            snap);
-    };
-
-    sim::SweepOutcome o;
-    o.label = spec.label;
-    const auto t0 = std::chrono::steady_clock::now();
-    warp::WarpEstimate est;
-    try {
-        sim::SimConfig wcfg = req.makeConfig(spec.design);
+    runInlinePoint(rs, idx, attempt, [&](sim::SweepOutcome& o, auto t0) {
+        warp::WarpJob job{&programs_.get(spec.workload),
+                          [d = spec.design] { return sim::buildTopology(d); },
+                          req.makeConfig(spec.design), {}};
         if (!req.tracePath.empty())
-            wcfg.replayTrace = programs_.getTrace(req.tracePath);
-        est = warp::runWarp(
-            programs_.get(spec.workload),
-            [d = spec.design] { return sim::buildTopology(d); },
-            wcfg, w);
-        o.result = est.estimate;
-    } catch (const std::exception& e) {
-        o.error = e.what();
-        o.errorClass = guard::errorClassOf(e);
-    }
-    o.host.wallSeconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      t0)
-            .count();
-    std::string fragment;
-    if (o.ok())
-        fragment = okFragment(o.label, attempt + 1, o.result,
-                              o.host.wallSeconds, &est);
+            job.cfg.replayTrace = programs_.getTrace(req.tracePath);
+        job.wcfg.intervals = req.intervals;
+        job.wcfg.warmupCycles = req.warmupCycles;
+        job.wcfg.sampleInsts = req.sampleInsts;
+        const std::uint64_t hash = configHash(req, spec.design);
+        const auto key = [&, hash](unsigned i) {
+            return warm_.keyPath(spec.workload, hash, req.intervals, i);
+        };
+        job.wcfg.snapshotLookup = [&](unsigned i, warp::Snapshot& out) {
+            return warm_.lookup(key(i), out);
+        };
+        job.wcfg.snapshotStore = [&](unsigned i, const warp::Snapshot& s) {
+            warm_.store(key(i), s);
+        };
 
-    std::lock_guard<std::mutex> lk(finalizeM_);
-    handleOutcome(rs, idx, o, attempt, std::move(fragment));
+        const std::vector<warp::WarpOutcome> out =
+            warp::runWarps({job}, cfg_.jobs);
+        if (out[0].exception)
+            std::rethrow_exception(out[0].exception);
+        o.result = out[0].estimate.estimate;
+        return okFragment(o.label, attempt + 1, o.result,
+                          secondsSince(t0), &out[0].estimate);
+    });
 }
 
 void
@@ -636,30 +649,10 @@ Daemon::runSearchPoint(RequestState& rs, std::size_t idx,
     search::SearchConfig cfg = rs.req.searchCfg;
     if (cfg.jobs == 0)
         cfg.jobs = cfg_.jobs;
-
-    sim::SweepOutcome o;
-    o.label = rs.specs[idx].label;
-    const auto t0 = std::chrono::steady_clock::now();
-    std::string fragment;
-    try {
-        const search::SearchResult r =
-            search::runSearch(cfg, programs_);
-        const double wall = std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() - t0)
-                                .count();
-        fragment =
-            searchFragment(o.label, attempt + 1, r, wall);
-    } catch (const std::exception& e) {
-        o.error = e.what();
-        o.errorClass = guard::errorClassOf(e);
-    }
-    o.host.wallSeconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      t0)
-            .count();
-
-    std::lock_guard<std::mutex> lk(finalizeM_);
-    handleOutcome(rs, idx, o, attempt, std::move(fragment));
+    runInlinePoint(rs, idx, attempt, [&](sim::SweepOutcome& o, auto t0) {
+        const search::SearchResult r = search::runSearch(cfg, programs_);
+        return searchFragment(o.label, attempt + 1, r, secondsSince(t0));
+    });
 }
 
 void
@@ -872,14 +865,17 @@ Daemon::configHash(const SweepRequest& r,
     // Every field that can influence checkpointed simulator state
     // feeds the content address; an extra field only costs a cold
     // fast-forward pass, a missing one would be caught anyway by the
-    // fingerprint check inside warp::runWarp (defense in depth).
+    // fingerprint check inside warp::runWarps (defense in depth).
     // Hashing the full serialized spec (not just its name) keeps two
     // inline "design_spec" documents that share a name from aliasing
-    // each other's warm snapshots.
+    // each other's warm snapshots. The fault rate goes in as its bit
+    // pattern: printed at stream precision, 1e-4 and 1.0000001e-4
+    // would share a key and evict each other's snapshots.
     std::ostringstream os;
     os << d.toJson() << '|' << r.insts << '|' << r.warmup
        << '|' << static_cast<int>(r.ghist) << '|' << r.sfb << '|'
-       << r.serialize << '|' << r.audit << '|' << r.faultRate << '|'
+       << r.serialize << '|' << r.audit << '|'
+       << std::bit_cast<std::uint64_t>(r.faultRate) << '|'
        << r.faultSeed << '|' << r.deadlockCycles << '|' << r.intervals
        << '|' << r.warmupCycles << '|' << r.sampleInsts;
     const std::string key = os.str();

@@ -30,8 +30,10 @@
 #define COBRA_SERVE_DAEMON_HPP
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -160,6 +162,16 @@ class Daemon
                           const std::vector<std::size_t>& idxs,
                           unsigned attempt,
                           const std::atomic<bool>& stop);
+    /** An inline point's work, given its start time: fill the outcome's
+     *  result and return the point's ok fragment, or throw. */
+    using InlineWork =
+        std::function<std::string(sim::SweepOutcome& o,
+                                  std::chrono::steady_clock::time_point)>;
+    /** Time @p work, classify what it throws, and hand the outcome to
+     *  handleOutcome: the shared steps of the inline points below. */
+    void runInlinePoint(RequestState& rs, std::size_t idx,
+                        unsigned attempt, const InlineWork& work);
+    /** Execute one warp point as a one-job runWarps batch. */
     void runWarpPoint(RequestState& rs, std::size_t idx,
                       unsigned attempt);
     /** Execute a `"kind": "search"` request's single point: run the

@@ -1,5 +1,6 @@
 #include "serve/json.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -94,6 +95,18 @@ Json::find(const std::string& key) const
         return nullptr;
     auto it = obj_.find(key);
     return it == obj_.end() ? nullptr : &it->second;
+}
+
+const std::string*
+firstUnknownKey(const Json& obj, std::initializer_list<const char*> known)
+{
+    for (const auto& member : obj.asObject()) {
+        const std::string& key = member.first;
+        if (std::none_of(known.begin(), known.end(),
+                         [&key](const char* k) { return key == k; }))
+            return &key;
+    }
+    return nullptr;
 }
 
 bool

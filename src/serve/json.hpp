@@ -14,6 +14,7 @@
 #define COBRA_SERVE_JSON_HPP
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -112,6 +113,15 @@ class Json
 
     friend class JsonParser;
 };
+
+/**
+ * The first member key of object @p obj (in key order) that is not in
+ * @p known, or nullptr when every key is known. Schema parsers turn it
+ * into their own error, so a misspelt field is rejected by name rather
+ * than silently left at its default.
+ */
+const std::string* firstUnknownKey(const Json& obj,
+                                   std::initializer_list<const char*> known);
 
 } // namespace cobra::serve
 

@@ -48,6 +48,16 @@ boundedU64(const Json& obj, const char* key, std::uint64_t dflt,
     return v;
 }
 
+/** Reject @p obj's first key outside @p known, named with its block
+ *  prefix @p where ("", "warp." or "search."). */
+void
+rejectUnknownKeys(const Json& obj, const std::string& where,
+                  std::initializer_list<const char*> known)
+{
+    if (const std::string* k = firstUnknownKey(obj, known))
+        throw RequestError("unknown field '" + where + *k + "'");
+}
+
 /** An `unsigned` member of the "search" block. */
 unsigned
 searchUnsigned(const Json& s, const char* key, unsigned dflt)
@@ -123,6 +133,13 @@ parseSearchBlock(const Json& doc)
         return cfg; // All-defaults search is valid.
     if (!s->isObject())
         throw RequestError("'search' must be an object");
+    rejectUnknownKeys(*s, "search.",
+                      {"seed", "pool", "budget_kb", "budget_um2",
+                       "anchors", "seed_evals", "survivors",
+                       "warp_survivors", "finalists", "trace_branches",
+                       "trace_warmup", "warp_insts", "intervals",
+                       "sample_insts", "insts", "warmup",
+                       "ridge_lambda"});
     cfg.seed = s->getU64("seed", cfg.seed);
     cfg.pool = searchUnsigned(*s, "pool", cfg.pool);
     cfg.budget.storageKb =
@@ -164,6 +181,13 @@ SweepRequest::parse(const std::string& text,
     }
     if (!doc.isObject())
         throw RequestError("document must be a JSON object");
+    rejectUnknownKeys(doc, "",
+                      {"id", "client", "priority", "kind", "designs",
+                       "design_spec", "workloads", "trace", "insts",
+                       "warmup", "ghist", "sfb", "serialize", "audit",
+                       "fault_rate", "fault_seed", "deadlock_cycles",
+                       "point_timeout_ms", "max_retries", "warp",
+                       "search"});
 
     SweepRequest r;
     try {
@@ -207,6 +231,9 @@ SweepRequest::parse(const std::string& text,
         if (const Json* w = doc.find("warp")) {
             if (!w->isObject())
                 throw RequestError("'warp' must be an object");
+            rejectUnknownKeys(*w, "warp.",
+                              {"intervals", "warmup_cycles",
+                               "sample_insts"});
             r.warp = true;
             r.intervals = static_cast<unsigned>(
                 boundedU64(*w, "intervals", r.intervals, kUnsignedMax,

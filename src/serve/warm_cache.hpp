@@ -8,7 +8,7 @@
  * Keying is defense-in-depth. The file name is the content address —
  * (workload, config-hash, interval count, interval index) — but a hit
  * is only trusted after the snapshot file's own validation chain
- * (magic, version, FNV-1a checksum) passes AND warp::runWarp
+ * (magic, version, FNV-1a checksum) passes AND warp::runWarps
  * re-checks the live simulator fingerprint and interval placement.
  * A corrupt, truncated, or stale entry is therefore a miss (and is
  * evicted), never wrong simulation state.

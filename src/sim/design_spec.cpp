@@ -822,15 +822,8 @@ void
 rejectUnknownKeys(const Json& obj, const std::string& where,
                   std::initializer_list<const char*> known)
 {
-    for (const auto& [k, v] : obj.asObject()) {
-        (void)v;
-        bool ok = false;
-        for (const char* kn : known)
-            if (k == kn)
-                ok = true;
-        if (!ok)
-            badField(where, "unknown field '" + k + "'");
-    }
+    if (const std::string* k = serve::firstUnknownKey(obj, known))
+        badField(where, "unknown field '" + *k + "'");
 }
 
 TreeSpec

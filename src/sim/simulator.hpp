@@ -74,14 +74,6 @@ struct SimResult
                                 static_cast<double>(insts);
     }
 
-    double
-    condMpki() const
-    {
-        return insts == 0 ? 0.0
-                          : 1000.0 * condMispredicts /
-                                static_cast<double>(insts);
-    }
-
     /** Conditional-branch prediction accuracy. */
     double
     accuracy() const
@@ -310,9 +302,6 @@ class Simulator
      * time; not checkpointed.
      */
     std::uint64_t tickedCycles() const { return ticked_; }
-
-    /** The fault engine (counts are zero when injection is off). */
-    const guard::FaultEngine& faultEngine() const { return *faults_; }
 
     /** Every StatGroup in this simulator tree, by hierarchical path. */
     const scope::StatRegistry& statRegistry() const { return registry_; }

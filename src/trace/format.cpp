@@ -79,27 +79,6 @@ constexpr std::size_t kBlockHeaderBytes = 4 + 4 + 4 + 4 + 8;
 
 } // namespace
 
-const char*
-recordTypeName(RecordType t)
-{
-    switch (t) {
-      case RecordType::Cond: return "cond";
-      case RecordType::IndirectJump: return "indjump";
-      case RecordType::IndirectCall: return "indcall";
-    }
-    return "?";
-}
-
-const char*
-traceKindName(TraceKind k)
-{
-    switch (k) {
-      case TraceKind::CapturedOracle: return "captured-oracle";
-      case TraceKind::External: return "external";
-    }
-    return "?";
-}
-
 bool
 deflateAvailable()
 {
@@ -457,12 +436,6 @@ TraceReader::~TraceReader()
 {
     if (data_ != nullptr)
         ::munmap(const_cast<std::uint8_t*>(data_), size_);
-}
-
-std::uint64_t
-TraceReader::fileBytes() const
-{
-    return size_;
 }
 
 void

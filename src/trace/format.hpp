@@ -38,8 +38,6 @@ enum class RecordType : std::uint8_t
     IndirectCall = 2, ///< Register-target call (target recorded).
 };
 
-const char* recordTypeName(RecordType t);
-
 /** One decoded control-flow record. */
 struct TraceRecord
 {
@@ -58,8 +56,6 @@ enum class TraceKind : std::uint8_t
     CapturedOracle = 1, ///< Frozen committed stream of a synthetic Program.
     External = 2,       ///< Imported (trace_convert); no Program attached.
 };
-
-const char* traceKindName(TraceKind k);
 
 /** Header metadata of a trace file. */
 struct TraceMeta
@@ -200,19 +196,12 @@ class TraceReader
     {
         return index_[b].firstRecord;
     }
-    std::uint32_t blockRecords(std::size_t b) const
-    {
-        return index_[b].records;
-    }
 
     /** Decode block @p b into @p out (strips are overwritten). */
     void decodeBlock(std::size_t b, DecodedBlock& out) const;
 
     /** FNV-1a over the whole file: the content-addressed cache key. */
     std::uint64_t contentDigest() const { return digest_; }
-
-    /** File size in bytes (for reports). */
-    std::uint64_t fileBytes() const;
 
   private:
     struct IndexEntry

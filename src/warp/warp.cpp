@@ -240,15 +240,6 @@ stitch(const WarpJob& job, JobRun& run,
         est.estimate.updatesDropped += o.result.updatesDropped;
         est.estimate.auditChecks += o.result.auditChecks;
 
-        est.sampled.cycles += o.result.cycles;
-        est.sampled.insts += o.result.insts;
-        est.sampled.condBranches += o.result.condBranches;
-        est.sampled.cfis += o.result.cfis;
-        est.sampled.condMispredicts += o.result.condMispredicts;
-        est.sampled.jalrMispredicts += o.result.jalrMispredicts;
-        est.sampled.sfbConversions += o.result.sfbConversions;
-        est.sampled.ghistReplays += o.result.ghistReplays;
-        est.sampled.packetsKilled += o.result.packetsKilled;
         est.detailedInsts += o.result.insts;
         est.detailedCycles += run.totalCycles[i];
         est.detailedTicks += o.host.tickedCycles;
@@ -322,18 +313,6 @@ runWarps(const std::vector<WarpJob>& batch, unsigned jobs)
         }
     }
     return out;
-}
-
-WarpEstimate
-runWarp(const prog::Program& program,
-        const std::function<bpu::Topology()>& topology,
-        const sim::SimConfig& cfg, const WarpConfig& wcfg)
-{
-    std::vector<WarpOutcome> out =
-        runWarps({WarpJob{&program, topology, cfg, wcfg}}, wcfg.jobs);
-    if (out[0].exception)
-        std::rethrow_exception(out[0].exception);
-    return std::move(out[0].estimate);
 }
 
 std::string

@@ -20,7 +20,8 @@
  *  - batching: runWarps takes many independent runs at once, so one
  *    run's serial fast-forward overlaps the others' instead of leaving
  *    the rest of the pool idle (wins whenever a caller has more than
- *    one run to make, as the search's warp tier does).
+ *    one run to make, as the search's warp tier and cobra_sim --warp
+ *    grids do).
  */
 
 #ifndef COBRA_WARP_WARP_HPP
@@ -53,12 +54,6 @@ struct WarpConfig
      * whole interval (no sampling — time-parallelism only).
      */
     std::uint64_t sampleInsts = 0;
-    /**
-     * Worker pool size; 0 = SweepEngine::defaultJobs(). runWarp
-     * passes it to runWarps; inside a batch the pool size is runWarps'
-     * own argument and this field is not read.
-     */
-    unsigned jobs = 0;
     /** Report interval completion to stderr. */
     bool progress = false;
     /** Persist per-interval checkpoints here when non-empty. */
@@ -117,8 +112,6 @@ struct WarpInterval
 /** The stitched whole-run estimate. */
 struct WarpEstimate
 {
-    /** Field-wise sum of the interval samples (raw, unscaled). */
-    sim::SimResult sampled;
     /**
      * Whole-run estimate expressed as a SimResult: each interval's
      * sampled counts scaled by lengthInsts / sampled insts, summed
@@ -175,11 +168,13 @@ struct WarpEstimate
  */
 std::string statsGroupsJson(const WarpEstimate& est);
 
-/** One warp run of a runWarps batch: runWarp's four arguments. */
+/** One warp run of a runWarps batch. */
 struct WarpJob
 {
     /** Borrowed read-only; must outlive the batch. */
     const prog::Program* program = nullptr;
+    /** Called once per interval plus once for the fast-forward pass
+     *  (topologies are single-use). */
     std::function<bpu::Topology()> topology;
     sim::SimConfig cfg;
     WarpConfig wcfg;
@@ -189,7 +184,8 @@ struct WarpJob
 struct WarpOutcome
 {
     WarpEstimate estimate;
-    /** What runWarp would have thrown for this job; null on success. */
+    /** Why the job failed, null on success: guard::ConfigError for an
+     *  invalid WarpConfig, guard::SimError when an interval fails. */
     std::exception_ptr exception;
 };
 
@@ -205,24 +201,14 @@ struct WarpOutcome
  *  3. each job's estimate, or its exception, comes back in
  *     submission order.
  * A job that fails in phase 1 queues no intervals. Each estimate
- * depends only on its own job's inputs, so it equals that job's solo
- * runWarp result at any @p jobs and any batch composition. @p jobs
- * sizes both phases; the jobs' own WarpConfig::jobs is not read.
+ * depends only on its own job's inputs, so it equals that job's result
+ * in a one-job batch at any @p jobs and any batch composition. Every
+ * job's K checkpoints stay alive from the end of its phase 1 until its
+ * intervals restore them, so a caller with a large grid bounds memory
+ * by submitting it in batches (cobra_sim --warp uses the pool width).
  */
 std::vector<WarpOutcome> runWarps(const std::vector<WarpJob>& batch,
                                   unsigned jobs);
-
-/**
- * Run @p cfg's workload in warp mode: a one-job runWarps batch on a
- * pool of @p wcfg.jobs workers. @p topology is invoked once per
- * interval plus once for the fast-forward pass (topologies are
- * single-use). Throws guard::SimError if any interval fails
- * (deadlock, checkpoint mismatch), guard::ConfigError on an invalid
- * @p wcfg.
- */
-WarpEstimate runWarp(const prog::Program& program,
-                     const std::function<bpu::Topology()>& topology,
-                     const sim::SimConfig& cfg, const WarpConfig& wcfg);
 
 } // namespace cobra::warp
 

@@ -82,7 +82,7 @@ TEST(Search, TwoWorkloadWarpTierMatchesSoloRunsAtOneAndThreeJobs)
 {
     // Tier 2 batches every (candidate, workload) warp run. The
     // frontier must not depend on the pool width, and each candidate's
-    // warp metrics must be the workload mean of its solo runWarp
+    // warp metrics must be the workload mean of its one-job-batch
     // estimates: a slip in the batch's candidate-major indexing would
     // hand a candidate another run's estimate.
     search::SearchConfig cfg = tinyConfig();
@@ -108,11 +108,13 @@ TEST(Search, TwoWorkloadWarpTierMatchesSoloRunsAtOneAndThreeJobs)
         for (const std::string& wl : cfg.workloads) {
             sim::SimConfig scfg = sim::makeConfig(c.spec);
             scfg.maxInsts = cfg.warpInsts;
-            const warp::WarpEstimate est = warp::runWarp(
-                cache().get(wl),
-                [&c] { return sim::buildTopology(c.spec); }, scfg, w);
-            ipc += est.ipc;
-            mpki += est.mpki;
+            const std::vector<warp::WarpOutcome> out = warp::runWarps(
+                {{&cache().get(wl),
+                  [&c] { return sim::buildTopology(c.spec); }, scfg, w}},
+                1);
+            ASSERT_FALSE(out[0].exception) << c.id;
+            ipc += out[0].estimate.ipc;
+            mpki += out[0].estimate.mpki;
         }
         EXPECT_EQ(c.warp.ipc, ipc / 2.0) << c.id;
         EXPECT_EQ(c.warp.mpki, mpki / 2.0) << c.id;

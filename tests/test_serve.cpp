@@ -451,6 +451,50 @@ TEST(ServeRequest, SearchKindRejectsIncompatibleFields)
     expectFieldRejected(wide);
 }
 
+namespace {
+
+/** @p text must be rejected with a message naming unknown @p field. */
+void
+expectUnknownField(const std::string& text, const std::string& field)
+{
+    try {
+        (void)serve::SweepRequest::parse(text, "f");
+        ADD_FAILURE() << "accepted unknown " << field;
+    } catch (const serve::RequestError& e) {
+        EXPECT_NE(std::string(e.what()).find("unknown field '" + field +
+                                             "'"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+} // namespace
+
+TEST(ServeRequest, UnknownTopLevelKeyIsRejected)
+{
+    // Ignored, the misspelt watchdog would run the point without one.
+    expectUnknownField(smallRequest("u", "\"point_timout_ms\": 500"),
+                       "point_timout_ms");
+}
+
+TEST(ServeRequest, UnknownWarpKeyIsRejected)
+{
+    // Ignored, the misspelt sample would measure whole intervals.
+    expectUnknownField(
+        smallRequest("u", "\"warp\": {\"intervals\": 2, "
+                          "\"sampel_insts\": 5000}"),
+        "warp.sampel_insts");
+}
+
+TEST(ServeRequest, UnknownSearchKeyIsRejected)
+{
+    // A removed option must not pass silently either.
+    expectUnknownField("{\"client\": \"c\", \"kind\": \"search\", "
+                       "\"workloads\": [\"mcf\"], "
+                       "\"search\": {\"pool\": 6, \"batch_eval\": false}}",
+                       "search.batch_eval");
+}
+
 // ---------------------------------------------------------------------
 // Spool state machine
 // ---------------------------------------------------------------------
@@ -981,6 +1025,33 @@ TEST(ServeDaemon, WarpRequestsReuseWarmStateBitIdentically)
     EXPECT_EQ(cp.getU64("insts", 1), wp.getU64("insts", 2));
     EXPECT_EQ(cp.getU64("cond_mispredicts", 1),
               wp.getU64("cond_mispredicts", 2));
+}
+
+TEST(ServeDaemon, NearbyFaultRatesKeepTheirOwnWarmEntries)
+{
+    // 1e-4 and 1.0000001e-4 print alike at stream precision. Keyed on
+    // that text, B's cold pass would overwrite A's snapshots and the
+    // second A would miss.
+    const std::string root = scratchDir("cobra_serve_warm_keys");
+    serve::Spool spool(root);
+    const serve::ServeConfig cfg = onceConfig(root);
+    for (const auto& [id, rate] :
+         {std::pair<std::string, std::string>{"a1", "1e-4"},
+          {"b", "1.0000001e-4"},
+          {"a2", "1e-4"}}) {
+        submit(spool, id + ".json",
+               "{\"id\": \"" + id + "\", \"client\": \"ci\", "
+               "\"designs\": [\"b2\"], \"workloads\": [\"leela\"], "
+               "\"insts\": 30000, \"warmup\": 2000, "
+               "\"fault_rate\": " + rate + ", \"fault_seed\": 7, "
+               "\"warp\": {\"intervals\": 2, \"warmup_cycles\": 2000}}");
+        ASSERT_EQ(runOnce(cfg), 1u) << id;
+    }
+    const serve::Json again =
+        serve::Json::parse(resultText(spool, "a2"));
+    const serve::Json& p = again.find("points")->asArray()[0];
+    ASSERT_EQ(p.getString("status", ""), "ok");
+    EXPECT_EQ(p.find("warp")->getU64("warm_hits", 99), 2u);
 }
 
 TEST(ServeDaemon, PoisonedWarmCacheRegeneratesCleanly)

@@ -181,17 +181,17 @@ TEST(TraceReplay, WarpEstimatesAreIdenticalFromTraceAndExecute)
     warp::WarpConfig w;
     w.intervals = 3;
     w.warmupCycles = 2000;
-    w.jobs = 1;
 
     const sim::SimConfig cfg = smallCfg(sim::Design::B2);
-    const warp::WarpEstimate execEst = warp::runWarp(
-        p, [] { return sim::buildTopology(sim::Design::B2); }, cfg, w);
-
     sim::SimConfig rcfg = cfg;
     rcfg.replayTrace = leelaTrace();
-    const warp::WarpEstimate traceEst = warp::runWarp(
-        p, [] { return sim::buildTopology(sim::Design::B2); }, rcfg,
-        w);
+    const auto topo = [] { return sim::buildTopology(sim::Design::B2); };
+    const std::vector<warp::WarpOutcome> out =
+        warp::runWarps({{&p, topo, cfg, w}, {&p, topo, rcfg, w}}, 1);
+    ASSERT_FALSE(out[0].exception);
+    ASSERT_FALSE(out[1].exception);
+    const warp::WarpEstimate& execEst = out[0].estimate;
+    const warp::WarpEstimate& traceEst = out[1].estimate;
 
     EXPECT_EQ(traceEst.estimate, execEst.estimate);
     EXPECT_EQ(traceEst.detailedCycles, execEst.detailedCycles);

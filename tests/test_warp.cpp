@@ -550,19 +550,35 @@ TEST(FastForward, AdvancesAndStaysCheckpointable)
 
 namespace {
 
+/** A one-job runWarps batch on @p jobs workers: the job's estimate,
+ *  or the exception it ended with, rethrown. */
+warp::WarpEstimate
+soloWarp(const warp::WarpJob& job, unsigned jobs = 1)
+{
+    std::vector<warp::WarpOutcome> out = warp::runWarps({job}, jobs);
+    if (out[0].exception)
+        std::rethrow_exception(out[0].exception);
+    return std::move(out[0].estimate);
+}
+
+/** B2 on leela at the small test scale. */
+warp::WarpJob
+leelaB2Job(const warp::WarpConfig& w)
+{
+    return {&cache().get("leela"),
+            [] { return sim::buildTopology(sim::Design::B2); },
+            smallCfg(sim::Design::B2), w};
+}
+
 warp::WarpEstimate
 runSmallWarp(unsigned jobs, const std::string& checkpoint_dir = "")
 {
-    const prog::Program& p = cache().get("leela");
-    const sim::SimConfig cfg = smallCfg(sim::Design::B2);
     warp::WarpConfig w;
     w.intervals = 4;
     w.sampleInsts = 4000;
     w.warmupCycles = 2000;
-    w.jobs = jobs;
     w.checkpointDir = checkpoint_dir;
-    return warp::runWarp(
-        p, [] { return sim::buildTopology(sim::Design::B2); }, cfg, w);
+    return soloWarp(leelaB2Job(w), jobs);
 }
 
 } // namespace
@@ -665,16 +681,12 @@ struct MemorySnapshotStore
 warp::WarpEstimate
 runHookedWarp(MemorySnapshotStore& store)
 {
-    const prog::Program& p = cache().get("leela");
-    const sim::SimConfig cfg = smallCfg(sim::Design::B2);
     warp::WarpConfig w;
     w.intervals = 4;
     w.sampleInsts = 4000;
     w.warmupCycles = 2000;
-    w.jobs = 1;
     store.wire(w);
-    return warp::runWarp(
-        p, [] { return sim::buildTopology(sim::Design::B2); }, cfg, w);
+    return soloWarp(leelaB2Job(w));
 }
 
 } // namespace
@@ -731,13 +743,10 @@ TEST(Warp, PoisonedWarmEntryIsASafeMiss)
     MemorySnapshotStore bad;
     bad.entries = poisoned;
 
-    const prog::Program& p = cache().get("leela");
-    const sim::SimConfig cfg = smallCfg(sim::Design::B2);
     warp::WarpConfig w;
     w.intervals = 4;
     w.sampleInsts = 4000;
     w.warmupCycles = 2000;
-    w.jobs = 1;
     unsigned rejected = 0;
     w.snapshotLookup = [&](unsigned i, warp::Snapshot& out) {
         auto it = bad.entries.find(i);
@@ -756,8 +765,7 @@ TEST(Warp, PoisonedWarmEntryIsASafeMiss)
         bad.entries[i] = warp::encodeSnapshot(snap);
     };
 
-    const warp::WarpEstimate est = warp::runWarp(
-        p, [] { return sim::buildTopology(sim::Design::B2); }, cfg, w);
+    const warp::WarpEstimate est = soloWarp(leelaB2Job(w));
     EXPECT_EQ(rejected, 1u);     // the poison was caught, not trusted
     EXPECT_EQ(est.warmHits, 0u); // one miss forces a full cold pass
     EXPECT_EQ(est.estimate, cold.estimate);
@@ -765,25 +773,19 @@ TEST(Warp, PoisonedWarmEntryIsASafeMiss)
 
 TEST(Warp, InvalidConfigurationsAreRejected)
 {
-    const prog::Program& p = cache().get("leela");
-    const sim::SimConfig cfg = smallCfg(sim::Design::B2);
-    const auto topo = [] {
-        return sim::buildTopology(sim::Design::B2);
-    };
-
     warp::WarpConfig w;
     w.intervals = 0;
-    EXPECT_THROW(warp::runWarp(p, topo, cfg, w), guard::ConfigError);
+    EXPECT_THROW(soloWarp(leelaB2Job(w)), guard::ConfigError);
 
     w.intervals = 4;
     w.warmupCycles = 0;
-    EXPECT_THROW(warp::runWarp(p, topo, cfg, w), guard::ConfigError);
+    EXPECT_THROW(soloWarp(leelaB2Job(w)), guard::ConfigError);
 
     w = warp::WarpConfig{};
-    sim::SimConfig tiny = cfg;
-    tiny.maxInsts = 2;
     w.intervals = 8;
-    EXPECT_THROW(warp::runWarp(p, topo, tiny, w), guard::ConfigError);
+    warp::WarpJob tiny = leelaB2Job(w);
+    tiny.cfg.maxInsts = 2;
+    EXPECT_THROW(soloWarp(tiny), guard::ConfigError);
 }
 
 // ---------------------------------------------------------------------
@@ -797,7 +799,6 @@ void
 expectSameEstimate(const warp::WarpEstimate& a,
                    const warp::WarpEstimate& b, const std::string& what)
 {
-    EXPECT_EQ(a.sampled, b.sampled) << what;
     EXPECT_EQ(a.estimate, b.estimate) << what;
     EXPECT_EQ(a.ipc, b.ipc) << what;
     EXPECT_EQ(a.mpki, b.mpki) << what;
@@ -832,7 +833,6 @@ TEST(WarpBatch, EveryJobMatchesItsSoloRunAtAnyWidth)
     w.intervals = 2;
     w.sampleInsts = 3000;
     w.warmupCycles = 1000;
-    w.jobs = 1;
 
     std::vector<warp::WarpJob> batch;
     std::vector<std::string> names;
@@ -857,14 +857,9 @@ TEST(WarpBatch, EveryJobMatchesItsSoloRunAtAnyWidth)
     names.insert(names.begin() + invalid, "invalid");
 
     std::vector<warp::WarpEstimate> solo;
-    for (std::size_t j = 0; j < batch.size(); ++j) {
-        if (j == invalid)
-            solo.emplace_back();
-        else
-            solo.push_back(warp::runWarp(*batch[j].program,
-                                         batch[j].topology, batch[j].cfg,
-                                         batch[j].wcfg));
-    }
+    for (std::size_t j = 0; j < batch.size(); ++j)
+        solo.push_back(j == invalid ? warp::WarpEstimate{}
+                                    : soloWarp(batch[j]));
 
     // At 3 workers the fast-forward passes of different jobs overlap
     // (the tsan leg checks that they share nothing).

@@ -28,8 +28,8 @@ if(NOT at EQUAL -1)
     message(FATAL_ERROR "warp point failed:\n${doc}")
 endif()
 
-# A deadlocking interval fails the point with runWarp's deterministic
-# "sim" class, not the transient "internal" fallback.
+# A deadlocking interval fails the point with the deterministic "sim"
+# class, not the transient "internal" fallback.
 execute_process(
     COMMAND "${COBRA_SIM}" ${flags} --insts 20000 --warmup-cycles 1000
             --deadlock-cycles 2 --json "${json}"

@@ -25,12 +25,14 @@
  * combinations exit 2 like any other usage error.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -109,7 +111,7 @@ usage()
         "                       per interval (default 0 = the whole\n"
         "                       interval)\n"
         "  --checkpoint-dir P   warp: persist per-interval checkpoints\n"
-        "                       under P\n"
+        "                       under P (a grid: P/DESIGN/WORKLOAD)\n"
         "  --progress           report per-point completion to stderr\n"
         "  --json PATH          also write results as JSON to PATH\n"
         "  --stats-json PATH    write the full stat-group hierarchy as\n"
@@ -387,7 +389,15 @@ runMain(int argc, char** argv)
                     "--warp does not support --stats/--area (interval "
                     "simulators are transient); use --stats-json");
             }
-            wcfg.jobs = jobs;
+            // Grid points keep their checkpoints under their labels.
+            std::set<std::string> labels;
+            for (const sim::DesignSpec& d : designs)
+                for (const std::string& wl : workloads)
+                    if (!labels.insert(d.name + "/" + wl).second &&
+                        !wcfg.checkpointDir.empty())
+                        throw std::runtime_error("--checkpoint-dir: " +
+                                                 d.name + "/" + wl +
+                                                 " repeats in the grid");
             wcfg.progress = progress;
             wcfg.validate();
         }
@@ -436,7 +446,8 @@ runMain(int argc, char** argv)
     // What each finished point prints under its header, one slot per
     // point so parallel points never share one.
     std::vector<std::string> texts;
-    std::vector<sim::SweepPoint> warpPoints;
+    std::vector<sim::SweepOutcome> outcomes;
+    std::vector<warp::WarpJob> warpJobs;
 
     for (const std::string& wl : workloads) {
         const prog::Program& program = cache.get(wl);
@@ -497,7 +508,13 @@ runMain(int argc, char** argv)
             headers.push_back(hdr.str());
             texts.emplace_back();
             if (warpMode) {
-                warpPoints.push_back(std::move(pt));
+                // A grid keeps each point's checkpoints apart.
+                warp::WarpConfig w = wcfg;
+                if (!w.checkpointDir.empty() &&
+                    designs.size() * workloads.size() > 1)
+                    w.checkpointDir += "/" + pt.label;
+                warpJobs.push_back({pt.program, pt.topology, cfg, w});
+                outcomes.emplace_back().label = pt.label;
                 continue;
             }
             // Stats/area need the live Simulator, so the worker
@@ -538,47 +555,54 @@ runMain(int argc, char** argv)
         }
     }
 
-    std::vector<sim::SweepOutcome> outcomes;
     if (warpMode) {
-        // Warp points run one at a time: each runWarp drives its own
-        // SweepEngine over the intervals, which is where the
-        // parallelism (and the --jobs setting) goes. Like the engine,
-        // the stop flag is polled between points.
-        for (std::size_t i = 0; i < warpPoints.size(); ++i) {
-            const sim::SweepPoint& pt = warpPoints[i];
-            sim::SweepOutcome& o = outcomes.emplace_back();
-            o.label = pt.label;
+        // The grid runs as runWarps batches as wide as the pool, so
+        // one point's serial fast-forward overlaps the others' while a
+        // batch holds at most jobs x K checkpoints. Like the engine,
+        // the stop flag is polled between batches; a started batch
+        // runs to the end.
+        const std::size_t width = engine.jobs();
+        for (std::size_t first = 0; first < warpJobs.size();
+             first += width) {
+            const std::size_t end = std::min(first + width, warpJobs.size());
             if (g_interrupted.load(std::memory_order_relaxed)) {
-                o.error = "interrupted before start";
-                o.errorClass = "interrupted";
+                for (std::size_t i = first; i < end; ++i) {
+                    outcomes[i].error = "interrupted before start";
+                    outcomes[i].errorClass = "interrupted";
+                }
                 continue;
             }
             const auto t0 = std::chrono::steady_clock::now();
-            try {
-                warp::WarpConfig w = wcfg;
-                if (!wcfg.checkpointDir.empty() && warpPoints.size() > 1)
-                    w.checkpointDir =
-                        wcfg.checkpointDir + "/" + pt.label;
-                const warp::WarpEstimate est =
-                    warp::runWarp(*pt.program, pt.topology, pt.cfg, w);
-                o.result = est.estimate;
-                o.host.simCycles = est.detailedCycles;
-                o.host.tickedCycles = est.detailedTicks;
-                o.host.simInsts = est.detailedInsts;
-                if (!out.statsJsonPath.empty()) {
-                    o.statsJson = sim::renderPointStats(
-                        pt.label, est.estimate,
-                        warp::statsGroupsJson(est));
+            const std::vector<warp::WarpOutcome> done = warp::runWarps(
+                {warpJobs.begin() + first, warpJobs.begin() + end}, width);
+            const double wall = std::chrono::duration<double>(
+                                    std::chrono::steady_clock::now() - t0)
+                                    .count();
+            for (std::size_t i = first; i < end; ++i) {
+                sim::SweepOutcome& o = outcomes[i];
+                o.host.wallSeconds = wall;
+                try {
+                    const warp::WarpOutcome& w = done[i - first];
+                    if (w.exception)
+                        std::rethrow_exception(w.exception);
+                    const warp::WarpEstimate& est = w.estimate;
+                    o.result = est.estimate;
+                    o.host.simCycles = est.detailedCycles;
+                    o.host.tickedCycles = est.detailedTicks;
+                    o.host.simInsts = est.detailedInsts;
+                    if (!out.statsJsonPath.empty()) {
+                        o.statsJson = sim::renderPointStats(
+                            o.label, est.estimate,
+                            warp::statsGroupsJson(est));
+                    }
+                    std::ostringstream os;
+                    printWarpEstimate(os, est, sfb, faultRate, audit);
+                    texts[i] = os.str();
+                } catch (...) {
+                    guard::captureCurrentException(o.error,
+                                                   o.errorClass);
                 }
-                std::ostringstream os;
-                printWarpEstimate(os, est, sfb, faultRate, audit);
-                texts[i] = os.str();
-            } catch (...) {
-                guard::captureCurrentException(o.error, o.errorClass);
             }
-            const auto t1 = std::chrono::steady_clock::now();
-            o.host.wallSeconds =
-                std::chrono::duration<double>(t1 - t0).count();
         }
     } else {
         outcomes = engine.run();
