@@ -90,7 +90,7 @@ BranchPredictorUnit::beginQuery(QueryState& q, Addr pc, unsigned valid_slots)
     ++queries_;
 }
 
-PredictionBundle
+const PredictionBundle&
 BranchPredictorUnit::stage(QueryState& q, unsigned d)
 {
     // Histories are provided at the end of Fetch-1 (paper Fig. 2):
@@ -493,7 +493,8 @@ HistoryFileEntry::saveState(warp::StateWriter& w) const
 }
 
 void
-HistoryFileEntry::restoreState(warp::StateReader& r)
+HistoryFileEntry::restoreState(warp::StateReader& r,
+                               std::size_t num_components)
 {
     pc = r.u64();
     fetchedSlots = r.u32();
@@ -503,7 +504,7 @@ HistoryFileEntry::restoreState(warp::StateReader& r)
     lhist = r.u64();
     phist = r.u64();
     lhistBefore = r.u64();
-    warp::loadMetas(r, metas);
+    warp::loadMetas(r, metas, num_components);
     warp::loadBundle(r, finalPred);
     warp::loadBoolArray(r, brMask);
     warp::loadBoolArray(r, specTakenMask);
@@ -538,7 +539,7 @@ HistoryFile::saveState(warp::StateWriter& w) const
 }
 
 void
-HistoryFile::restoreState(warp::StateReader& r)
+HistoryFile::restoreState(warp::StateReader& r, std::size_t num_components)
 {
     const FtqPos head = r.u64();
     const FtqPos tail = r.u64();
@@ -549,7 +550,7 @@ HistoryFile::restoreState(warp::StateReader& r)
     for (auto& e : ring_)
         e = HistoryFileEntry{};
     for (FtqPos pos = head_; pos < tail_; ++pos)
-        ring_[pos % capacity_].restoreState(r);
+        ring_[pos % capacity_].restoreState(r, num_components);
 }
 
 void
@@ -582,7 +583,8 @@ BranchPredictorUnit::restoreState(warp::StateReader& r)
     lhist_.restoreState(r);
     phist_.restore(r.u64());
     querySerial_ = r.u64();
-    hf_.restoreState(r);
+    const std::size_t nComps = pred_.components().size();
+    hf_.restoreState(r, nComps);
     repairQueue_.clear();
     const std::uint64_t jobs = r.u64();
     // Each mispredict queues at most capacity-1 squashed entries, and
@@ -592,7 +594,7 @@ BranchPredictorUnit::restoreState(warp::StateReader& r)
         r.fail("repair queue implausibly large");
     for (std::uint64_t i = 0; i < jobs; ++i) {
         RepairJob job;
-        job.entry.restoreState(r);
+        job.entry.restoreState(r, nComps);
         job.pos = r.u64();
         repairQueue_.push_back(std::move(job));
     }

@@ -103,9 +103,10 @@ class BranchPredictorUnit
 
     /**
      * Evaluate the composed bundle at stage @p d. Captures histories
-     * at the Fetch-1/Fetch-2 boundary (paper §III-B, Fig. 2).
+     * at the Fetch-1/Fetch-2 boundary (paper §III-B, Fig. 2). The
+     * bundle belongs to @p q and is rebuilt by the next call.
      */
-    PredictionBundle stage(QueryState& q, unsigned d);
+    const PredictionBundle& stage(QueryState& q, unsigned d);
 
     /** True when a new history-file entry can be allocated. */
     bool canFinalize() const { return !hf_.full(); }

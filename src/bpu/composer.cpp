@@ -1,6 +1,10 @@
 #include "bpu/composer.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
+#include <cstddef>
+#include <cstring>
 #include <stdexcept>
 
 #include "warp/state_bpu.hpp"
@@ -8,20 +12,50 @@
 
 namespace cobra::bpu {
 
+namespace {
+
+// diffSlots compares each field group as a masked 64-bit word of the
+// slot; the masks leave out the padding bytes.
+static_assert(std::endian::native == std::endian::little);
+static_assert(sizeof(PredictionSlot) == 24);
+static_assert(offsetof(PredictionSlot, valid) == 0 &&
+              offsetof(PredictionSlot, taken) == 1 &&
+              offsetof(PredictionSlot, targetValid) == 2 &&
+              offsetof(PredictionSlot, target) == 8 &&
+              offsetof(PredictionSlot, type) == 16 &&
+              offsetof(PredictionSlot, isCall) == 17 &&
+              offsetof(PredictionSlot, isRet) == 18);
+constexpr std::uint64_t kDirBytes = 0x0000'0000'0000'FFFFull;
+constexpr std::uint64_t kTargetValidByte = 0x0000'0000'00FF'0000ull;
+constexpr std::uint64_t kTypeBytes = 0x0000'0000'00FF'FFFFull;
+
+/** Set bits of a slot mask. A table, because std::popcount without
+ *  -mpopcnt is a library call. */
+unsigned
+slotCount(unsigned mask)
+{
+    static constexpr std::uint8_t kNibble[16] = {0, 1, 1, 2, 1, 2, 2, 3,
+                                                 1, 2, 2, 3, 2, 3, 3, 4};
+    return kNibble[mask & 15] + kNibble[(mask >> 4) & 15];
+}
+
+} // namespace
+
 std::uint8_t
 diffSlots(const PredictionSlot& before, const PredictionSlot& after)
 {
+    std::uint64_t a[3];
+    std::uint64_t b[3];
+    std::memcpy(a, &before, sizeof a);
+    std::memcpy(b, &after, sizeof b);
+    const std::uint64_t x0 = a[0] ^ b[0];
     std::uint8_t m = kProvideNone;
-    if (before.valid != after.valid || before.taken != after.taken)
+    if (x0 & kDirBytes)
         m |= kProvideDir;
-    if (before.targetValid != after.targetValid ||
-        before.target != after.target) {
+    if ((x0 & kTargetValidByte) | (a[1] ^ b[1]))
         m |= kProvideTarget;
-    }
-    if (before.type != after.type || before.isCall != after.isCall ||
-        before.isRet != after.isRet) {
+    if ((a[2] ^ b[2]) & kTypeBytes)
         m |= kProvideType;
-    }
     return m;
 }
 
@@ -48,6 +82,20 @@ void
 QueryState::reset(Addr pc, unsigned valid_slots, unsigned num_components,
                   unsigned width, std::uint64_t serial)
 {
+    if (results_.size() != num_components || width != width_) {
+        results_.assign(num_components, CompResult{});
+        metas_.assign(num_components, Metadata{});
+        bundle_ = PredictionBundle{};
+    } else {
+        // Hot path: only the computed flags and metadata need
+        // clearing. A result's first width slots and masks are written
+        // before computed is set, so stale values are never read, and
+        // the slots past width are never written.
+        for (std::size_t i = 0; i < num_components; ++i) {
+            results_[i].computed = false;
+            metas_[i] = Metadata{};
+        }
+    }
     pc_ = pc;
     validSlots_ = valid_slots;
     width_ = width;
@@ -56,18 +104,6 @@ QueryState::reset(Addr pc, unsigned valid_slots, unsigned num_components,
     phist_ = 0;
     lastStage_ = 0;
     serial_ = serial;
-    if (results_.size() != num_components) {
-        results_.assign(num_components, CompResult{});
-        metas_.assign(num_components, Metadata{});
-    } else {
-        // Hot path: only the computed flags and metadata need
-        // clearing. A result's out/provided fields are written in full
-        // before computed is set, so stale values are never read.
-        for (std::size_t i = 0; i < num_components; ++i) {
-            results_[i].computed = false;
-            metas_[i] = Metadata{};
-        }
-    }
     dirProvider_.fill(kNoProvider);
     targetProvider_.fill(kNoProvider);
 }
@@ -88,7 +124,8 @@ QueryState::saveState(warp::StateWriter& w) const
     for (const CompResult& res : results_) {
         w.boolean(res.computed);
         warp::saveBundle(w, res.out);
-        warp::saveU8Array(w, res.provided);
+        for (unsigned i = 0; i < kMaxFetchWidth; ++i)
+            w.u8(res.provided(i));
     }
     warp::saveMetas(w, metas_);
     warp::saveU8Array(w, dirProvider_);
@@ -96,7 +133,7 @@ QueryState::saveState(warp::StateWriter& w) const
 }
 
 void
-QueryState::restoreState(warp::StateReader& r)
+QueryState::restoreState(warp::StateReader& r, std::size_t num_components)
 {
     pc_ = r.u64();
     validSlots_ = r.u32();
@@ -107,20 +144,27 @@ QueryState::restoreState(warp::StateReader& r)
     phist_ = r.u64();
     lastStage_ = r.u32();
     serial_ = r.u64();
-    const std::uint32_t nResults = r.u32();
-    if (nResults > 64)
-        r.fail("query component count out of range");
+    if (r.u32() != num_components)
+        r.fail("query result count differs from the component count");
     results_.clear();
-    for (std::uint32_t i = 0; i < nResults; ++i) {
+    for (std::size_t c = 0; c < num_components; ++c) {
         CompResult res;
         res.computed = r.boolean();
         warp::loadBundle(r, res.out);
-        warp::loadU8Array(r, res.provided);
+        for (unsigned i = 0; i < kMaxFetchWidth; ++i) {
+            const std::uint8_t p = r.u8();
+            if (p & ~(kProvideDir | kProvideTarget | kProvideType))
+                r.fail("query provide byte out of range");
+            res.dirMask |= ((p & kProvideDir) != 0) << i;
+            res.targetMask |= ((p & kProvideTarget) != 0) << i;
+            res.typeMask |= ((p & kProvideType) != 0) << i;
+        }
         results_.push_back(res);
     }
-    warp::loadMetas(r, metas_);
+    warp::loadMetas(r, metas_, num_components);
     warp::loadU8Array(r, dirProvider_);
     warp::loadU8Array(r, targetProvider_);
+    bundle_ = PredictionBundle{};
 }
 
 ComposedPredictor::ComposedPredictor(Topology topo, unsigned width)
@@ -134,11 +178,6 @@ ComposedPredictor::ComposedPredictor(Topology topo, unsigned width)
             throw guard::ConfigError("component '" + c->name() +
                                      "' narrower than pipeline width");
         }
-    }
-    nodeCompIdx_.assign(topo_.numNodes(), ~std::size_t{0});
-    for (std::size_t i = 0; i < topo_.numNodes(); ++i) {
-        if (topo_.node(i).comp != nullptr)
-            nodeCompIdx_[i] = compIndex(topo_.node(i).comp);
     }
     // Attribution groups live under "bpu.comp.<name>"; a repeated
     // component name gets a "#<index>" suffix so group paths stay
@@ -182,6 +221,52 @@ ComposedPredictor::ComposedPredictor(Topology topo, unsigned width)
             }
         }
     }
+    for (unsigned d = 1; d <= maxLatency_; ++d)
+        stagePlans_.push_back(buildPlan(topo_.root().idx, d));
+}
+
+ComposedPredictor::Plan
+ComposedPredictor::buildPlan(std::size_t idx, unsigned d)
+{
+    std::vector<PlanStep> plan;
+    collectSteps(idx, d, plan);
+    const auto begin = static_cast<std::uint32_t>(steps_.size());
+    steps_.insert(steps_.end(), plan.begin(), plan.end());
+    return Plan{begin, static_cast<std::uint32_t>(steps_.size())};
+}
+
+void
+ComposedPredictor::collectSteps(std::size_t idx, unsigned d,
+                                std::vector<PlanStep>& out)
+{
+    const Topology::Node& n = topo_.node(idx);
+    if (n.kind == Topology::NodeKind::Chain) {
+        // Children are listed highest-priority first; evaluate from
+        // the lowest-priority upward so higher components override.
+        for (std::size_t i = n.children.size(); i-- > 0;)
+            collectSteps(n.children[i], d, out);
+        return;
+    }
+    if (d < n.comp->latency()) {
+        // Not yet responded: a leaf passes through. Before an arbiter
+        // responds, the provisional prediction is the first-listed
+        // child's (documented tie-break).
+        if (n.kind == Topology::NodeKind::Arb && !n.children.empty())
+            collectSteps(n.children.front(), d, out);
+        return;
+    }
+    PlanStep step;
+    step.comp = n.comp;
+    step.ci = static_cast<std::uint32_t>(compIndex(n.comp));
+    if (n.kind == Topology::NodeKind::Arb) {
+        std::vector<Plan> kids;
+        for (std::size_t c : n.children)
+            kids.push_back(buildPlan(c, d));
+        step.kidsBegin = static_cast<std::uint32_t>(kidPlans_.size());
+        kidPlans_.insert(kidPlans_.end(), kids.begin(), kids.end());
+        step.kidsEnd = static_cast<std::uint32_t>(kidPlans_.size());
+    }
+    out.push_back(step);
 }
 
 std::size_t
@@ -211,17 +296,10 @@ ComposedPredictor::makeContext(const QueryState& q, unsigned d) const
 }
 
 void
-ComposedPredictor::applyComponent(QueryState& q, std::size_t idx,
-                                  unsigned d, PredictionBundle& bundle,
-                                  const std::vector<std::size_t>*
-                                      arb_children)
+ComposedPredictor::applyComponent(QueryState& q, const PlanStep& step,
+                                  unsigned d, PredictionBundle& bundle)
 {
-    PredictorComponent* comp = topo_.node(idx).comp;
-    if (d < comp->latency())
-        return; // Not yet responded: pure pass-through.
-
-    const std::size_t ci = nodeCompIdx_[idx];
-    QueryState::CompResult& res = q.results_[ci];
+    QueryState::CompResult& res = q.results_[step.ci];
 
     if (!res.computed) {
         // First evaluation at stage >= latency. For chain members this
@@ -231,97 +309,89 @@ ComposedPredictor::applyComponent(QueryState& q, std::size_t idx,
         // stage; they start from a fresh bundle, so the result is the
         // same as at their own latency.
         const PredictContext ctx = makeContext(q, d);
-        PredictionBundle in = bundle;
-        PredictionBundle out = bundle;
-        if (arb_children != nullptr) {
+        res.out.width = width_;
+        std::copy_n(bundle.slots.begin(), width_, res.out.slots.begin());
+        if (step.kidsBegin != step.kidsEnd) {
             SmallVector<PredictionBundle, 4> inputs;
-            for (std::size_t childIdx : *arb_children) {
-                PredictionBundle cb;
-                cb.width = width_;
-                evalNode(q, childIdx, d, cb);
-                inputs.push_back(cb);
+            for (std::uint32_t k = step.kidsBegin; k < step.kidsEnd; ++k) {
+                inputs.push_back(PredictionBundle{});
+                inputs.back().width = width_;
+                runPlan(q, kidPlans_[k], d, inputs.back());
             }
             const std::span<const PredictionBundle> inSpan(
                 inputs.data(), inputs.size());
-            comp->arbitrate(ctx, inSpan, out, q.metas_[ci]);
+            step.comp->arbitrate(ctx, inSpan, res.out, q.metas_[step.ci]);
         } else {
-            comp->predict(ctx, out, q.metas_[ci]);
+            step.comp->predict(ctx, res.out, q.metas_[step.ci]);
         }
-        res.out = out;
-        for (unsigned i = 0; i < width_; ++i)
-            res.provided[i] = diffSlots(in.slots[i], out.slots[i]);
+
+        // `bundle` is still the predict_in: a field group the
+        // component changed is one it provided.
+        unsigned dir = 0, target = 0, type = 0, inValid = 0, outValid = 0;
+        for (unsigned i = 0; i < width_; ++i) {
+            const unsigned p = diffSlots(bundle.slots[i], res.out.slots[i]);
+            dir |= ((p & kProvideDir) != 0) << i;
+            target |= ((p & kProvideTarget) != 0) << i;
+            type |= ((p & kProvideType) != 0) << i;
+            inValid |= unsigned{bundle.slots[i].valid} << i;
+            outValid |= unsigned{res.out.slots[i].valid} << i;
+        }
+        res.dirMask = static_cast<std::uint8_t>(dir);
+        res.targetMask = static_cast<std::uint8_t>(target);
+        res.typeMask = static_cast<std::uint8_t>(type);
         res.computed = true;
 
-        // Attribution (counted once per query, at compute time): a
-        // dir change over a valid incoming prediction is an override;
-        // a valid-vs-valid no-change is an agreement.
-        CompAttribution& att = *attribution_[ci];
-        for (unsigned i = 0; i < q.validSlots_ && i < width_; ++i) {
-            if (res.provided[i] & kProvideDir) {
-                ++att.dirProvided;
-                if (in.slots[i].valid)
-                    ++att.dirOverrides;
-            } else if (out.slots[i].valid && in.slots[i].valid) {
-                ++att.dirAgreements;
-            }
-            if (res.provided[i] & kProvideTarget)
-                ++att.targetProvided;
-        }
+        // Attribution (counted once per query, at compute time, over
+        // the packet's valid slots): a dir change over a valid
+        // incoming prediction is an override; a valid-vs-valid
+        // no-change is an agreement.
+        const unsigned live = static_cast<unsigned>(
+            maskBits(std::min(q.validSlots_, width_)));
+        CompAttribution& att = *attribution_[step.ci];
+        att.dirProvided += slotCount(dir & live);
+        att.dirOverrides += slotCount(dir & inValid & live);
+        att.dirAgreements += slotCount(~dir & outValid & inValid & live);
+        att.targetProvided += slotCount(target & live);
     }
 
     // Replay the recorded field-level overrides onto the current
     // bundle: where the component provided, its values win; where it
     // passed through, the (possibly newer) incoming prediction flows.
     // The last writer per field group is the provider of record.
-    for (unsigned i = 0; i < width_; ++i) {
-        applySlotPatch(bundle.slots[i], res.out.slots[i], res.provided[i]);
-        if (res.provided[i] & kProvideDir)
-            q.dirProvider_[i] = static_cast<std::uint8_t>(ci);
-        if (res.provided[i] & kProvideTarget)
-            q.targetProvider_[i] = static_cast<std::uint8_t>(ci);
+    const auto ci = static_cast<std::uint8_t>(step.ci);
+    for (unsigned m = res.dirMask | res.targetMask | res.typeMask; m != 0;
+         m &= m - 1) {
+        const unsigned i = static_cast<unsigned>(std::countr_zero(m));
+        const std::uint8_t p = res.provided(i);
+        applySlotPatch(bundle.slots[i], res.out.slots[i], p);
+        if (p & kProvideDir)
+            q.dirProvider_[i] = ci;
+        if (p & kProvideTarget)
+            q.targetProvider_[i] = ci;
     }
 }
 
 void
-ComposedPredictor::evalNode(QueryState& q, std::size_t idx, unsigned d,
-                            PredictionBundle& bundle)
+ComposedPredictor::runPlan(QueryState& q, Plan plan, unsigned d,
+                           PredictionBundle& bundle)
 {
-    const Topology::Node& n = topo_.node(idx);
-    switch (n.kind) {
-      case Topology::NodeKind::Leaf:
-        applyComponent(q, idx, d, bundle, nullptr);
-        break;
-      case Topology::NodeKind::Chain:
-        // Children are listed highest-priority first; evaluate from
-        // the lowest-priority upward so higher components override.
-        for (std::size_t i = n.children.size(); i-- > 0;)
-            evalNode(q, n.children[i], d, bundle);
-        break;
-      case Topology::NodeKind::Arb:
-        if (d < n.comp->latency()) {
-            // Before the arbiter responds, the provisional prediction
-            // is the first-listed child's (documented tie-break).
-            if (!n.children.empty())
-                evalNode(q, n.children.front(), d, bundle);
-        } else {
-            applyComponent(q, idx, d, bundle, &n.children);
-        }
-        break;
-    }
+    for (std::uint32_t i = plan.begin; i < plan.end; ++i)
+        applyComponent(q, steps_[i], d, bundle);
 }
 
-PredictionBundle
+const PredictionBundle&
 ComposedPredictor::evaluateStage(QueryState& q, unsigned d)
 {
     assert(d >= 1);
     assert(d >= q.lastStage_ && "stages must be evaluated in order");
     q.lastStage_ = d;
 
-    PredictionBundle bundle;
+    PredictionBundle& bundle = q.bundle_;
     bundle.width = width_;
+    std::fill_n(bundle.slots.begin(), width_, PredictionSlot{});
     if (q.pc_ == kInvalidAddr)
         return bundle;
-    evalNode(q, topo_.root().idx, d, bundle);
+    runPlan(q, stagePlans_[std::min(d, maxLatency_) - 1], d, bundle);
     // Slots beyond the packet's valid range never predict.
     for (unsigned i = q.validSlots_; i < width_; ++i)
         bundle.slots[i] = PredictionSlot{};

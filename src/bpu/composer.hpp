@@ -73,6 +73,8 @@ class QueryState
 
     /** Metadata gathered from all components (by component index). */
     const MetadataBundle& metadata() const { return metas_; }
+    /** Writable view for a fire broadcast, which may extend it. */
+    MetadataBundle& metadata() { return metas_; }
 
     /** Component index that provided each slot's direction field in
      *  the final fold (kNoProvider where nothing predicted). */
@@ -89,19 +91,37 @@ class QueryState
         return targetProvider_;
     }
 
-    /** Checkpoint the in-flight evaluation state (warp snapshots). */
+    /**
+     * Checkpoint the in-flight evaluation state (warp snapshots). A
+     * restore fails with guard::CheckpointError unless the archive
+     * holds exactly @p num_components results and metadata entries.
+     */
     void saveState(warp::StateWriter& w) const;
-    void restoreState(warp::StateReader& r);
+    void restoreState(warp::StateReader& r, std::size_t num_components);
 
   private:
     friend class ComposedPredictor;
 
-    /** Cached result of one component's single predict() invocation. */
+    /** Cached result of one component's single predict() invocation:
+     *  its output bundle and, per field group, the bitmask of slots
+     *  where it changed its predict_in (what it provided). */
     struct CompResult
     {
         bool computed = false;
         PredictionBundle out{};
-        std::array<std::uint8_t, kMaxFetchWidth> provided{};
+        std::uint8_t dirMask = 0;
+        std::uint8_t targetMask = 0;
+        std::uint8_t typeMask = 0;
+
+        /** ProvideMask of slot @p i. */
+        std::uint8_t
+        provided(unsigned i) const
+        {
+            return static_cast<std::uint8_t>(
+                ((dirMask >> i) & 1) * kProvideDir |
+                ((targetMask >> i) & 1) * kProvideTarget |
+                ((typeMask >> i) & 1) * kProvideType);
+        }
     };
 
     Addr pc_ = kInvalidAddr;
@@ -116,6 +136,8 @@ class QueryState
     /** Inline for <= 8 components: query reset allocates nothing. */
     SmallVector<CompResult, 8> results_;
     MetadataBundle metas_;
+    /** The bundle evaluateStage() builds and returns. */
+    PredictionBundle bundle_{};
     std::array<std::uint8_t, kMaxFetchWidth> dirProvider_{};
     std::array<std::uint8_t, kMaxFetchWidth> targetProvider_{};
 };
@@ -181,9 +203,10 @@ class ComposedPredictor
     /**
      * Evaluate the composed prediction visible at stage @p d.
      * Stages must be evaluated in increasing order per query; the
-     * result for a stage is deterministic and repeatable.
+     * result for a stage is deterministic and repeatable. The bundle
+     * belongs to @p q and is rebuilt in place by the next call.
      */
-    PredictionBundle evaluateStage(QueryState& q, unsigned d);
+    const PredictionBundle& evaluateStage(QueryState& q, unsigned d);
 
     // ---- Event broadcast (management glue, §IV-B2) -------------------
 
@@ -232,14 +255,39 @@ class ComposedPredictor
     bool usesLocalHistory() const;
 
   private:
-    /** Evaluate node @p idx at stage @p d, transforming @p bundle. */
-    void evalNode(QueryState& q, std::size_t idx, unsigned d,
-                  PredictionBundle& bundle);
+    /**
+     * One step of a stage plan: compute-or-replay one component's
+     * patch. An arbiter step names the plans of its children, which
+     * run on fresh bundles when the arbiter computes.
+     */
+    struct PlanStep
+    {
+        PredictorComponent* comp = nullptr;
+        std::uint32_t ci = 0;        ///< Metadata slot of comp.
+        std::uint32_t kidsBegin = 0; ///< Arbiter children in kidPlans_.
+        std::uint32_t kidsEnd = 0;   ///< == kidsBegin for a non-arbiter.
+    };
 
-    /** Compute-or-replay node @p idx's component patch onto @p bundle. */
-    void applyComponent(QueryState& q, std::size_t idx, unsigned d,
-                        PredictionBundle& bundle,
-                        const std::vector<std::size_t>* arbChildren);
+    /** A run [begin, end) of steps_. */
+    struct Plan
+    {
+        std::uint32_t begin = 0;
+        std::uint32_t end = 0;
+    };
+
+    /** Append the plan of node @p idx at stage @p d to steps_: the
+     *  tree walk's order, without components that pass through at
+     *  @p d (latency > d). */
+    Plan buildPlan(std::size_t idx, unsigned d);
+    void collectSteps(std::size_t idx, unsigned d,
+                      std::vector<PlanStep>& out);
+
+    void runPlan(QueryState& q, Plan plan, unsigned d,
+                 PredictionBundle& bundle);
+
+    /** Compute-or-replay @p step's component patch onto @p bundle. */
+    void applyComponent(QueryState& q, const PlanStep& step, unsigned d,
+                        PredictionBundle& bundle);
 
     /** Index of @p comp in components_ (construction-time only). */
     std::size_t compIndex(const PredictorComponent* comp) const;
@@ -250,9 +298,12 @@ class ComposedPredictor
     unsigned width_;
     unsigned maxLatency_;
     std::vector<PredictorComponent*> components_;
-    /** Topology-node index -> metadata slot, precomputed once so the
-     *  per-query path never does the O(n) component scan. */
-    std::vector<std::size_t> nodeCompIdx_;
+    std::vector<PlanStep> steps_;
+    /** Children's plans of every arbiter step. */
+    std::vector<Plan> kidPlans_;
+    /** Plan of stage d at [d - 1], d = 1..maxLatency_; later stages
+     *  run the last one. */
+    std::vector<Plan> stagePlans_;
     /** Attribution counters, one group per component (same index). */
     std::vector<std::unique_ptr<CompAttribution>> attribution_;
 };

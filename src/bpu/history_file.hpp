@@ -88,9 +88,11 @@ struct HistoryFileEntry
     /** Ready to be dequeued (the packet's branches committed). */
     bool committed = false;
 
-    /** Checkpoint one entry (warp snapshots; defined in bpu.cpp). */
+    /** Checkpoint one entry (warp snapshots; defined in bpu.cpp). A
+     *  restore requires one metadata entry per component
+     *  (@p num_components). */
     void saveState(warp::StateWriter& w) const;
-    void restoreState(warp::StateReader& r);
+    void restoreState(warp::StateReader& r, std::size_t num_components);
 };
 
 /**
@@ -194,7 +196,7 @@ class HistoryFile
 
     /** Checkpoint positions and live entries (warp snapshots). */
     void saveState(warp::StateWriter& w) const;
-    void restoreState(warp::StateReader& r);
+    void restoreState(warp::StateReader& r, std::size_t num_components);
 
   private:
     unsigned capacity_;

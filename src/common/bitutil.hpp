@@ -38,10 +38,7 @@ constexpr unsigned
 ceilLog2(std::uint64_t v)
 {
     assert(v >= 1);
-    unsigned l = 0;
-    std::uint64_t p = 1;
-    while (p < v) { p <<= 1; ++l; }
-    return l;
+    return v <= 1 ? 0 : static_cast<unsigned>(std::bit_width(v - 1));
 }
 
 /** floor(log2(v)) for v >= 1. */

@@ -68,7 +68,7 @@ TageParams::tageL(unsigned fetch_width)
 
 Tage::Tage(std::string name, const TageParams& p)
     : PredictorComponent(std::move(name), p.latency, p.fetchWidth),
-      params_(p), rng_(0x7A6E)
+      params_(p), pcShift_(2 + ceilLog2(p.fetchWidth)), rng_(0x7A6E)
 {
     assert(!p.tables.empty());
     assert(p.tables.size() <= kMaxTables);
@@ -78,6 +78,8 @@ Tage::Tage(std::string name, const TageParams& p)
         assert(isPow2(tp.sets));
         Table t;
         t.p = tp;
+        t.idxBits = ceilLog2(tp.sets);
+        t.histMask = maskBits(tp.histLen);
         t.rows.resize(tp.sets);
         t.ctrs.assign(static_cast<std::size_t>(tp.sets) * p.fetchWidth,
                       SatCounter(p.ctrBits, (1u << p.ctrBits) / 2));
@@ -146,24 +148,24 @@ Tage::flipStateBit(std::uint64_t rand)
     return true;
 }
 
+// The folds equal gh.folded(t.p.histLen, bits).
 std::size_t
-Tage::indexOf(const Table& t, Addr pc, const HistoryRegister& gh) const
+Tage::indexOf(const Table& t, Addr pc, std::uint64_t hist) const
 {
-    const unsigned idxBits = ceilLog2(t.p.sets);
-    const std::uint64_t pcBits = pc >> (2 + ceilLog2(fetchWidth()));
-    const std::uint64_t folded = gh.folded(t.p.histLen, idxBits);
+    const std::uint64_t pcBits = pc >> pcShift_;
+    const std::uint64_t folded = foldXor(hist & t.histMask, t.idxBits);
     return static_cast<std::size_t>(
-        (pcBits ^ (pcBits >> idxBits) ^ folded) & maskBits(idxBits));
+        (pcBits ^ (pcBits >> t.idxBits) ^ folded) & maskBits(t.idxBits));
 }
 
 std::uint32_t
-Tage::tagOf(const Table& t, Addr pc, const HistoryRegister& gh) const
+Tage::tagOf(const Table& t, Addr pc, std::uint64_t hist) const
 {
-    const std::uint64_t pcBits = pc >> (2 + ceilLog2(fetchWidth()));
+    const std::uint64_t pcBits = pc >> pcShift_;
+    const std::uint64_t h = hist & t.histMask;
     // A second, differently folded hash decorrelates tag from index.
-    const std::uint64_t folded = gh.folded(t.p.histLen, t.p.tagBits) ^
-                                 (gh.folded(t.p.histLen, t.p.tagBits - 1)
-                                  << 1);
+    const std::uint64_t folded = foldXor(h, t.p.tagBits) ^
+                                 (foldXor(h, t.p.tagBits - 1) << 1);
     return static_cast<std::uint32_t>(
         (pcBits ^ folded ^ (pcBits >> 7)) & maskBits(t.p.tagBits));
 }
@@ -172,15 +174,15 @@ void
 Tage::predict(const bpu::PredictContext& ctx, bpu::PredictionBundle& inout,
               bpu::Metadata& meta)
 {
-    const HistoryRegister& gh = requireGhist(ctx);
+    const std::uint64_t hist = requireGhist(ctx).low(64);
     const unsigned n = static_cast<unsigned>(tables_.size());
 
     bool hit[kMaxTables];
     std::size_t idx[kMaxTables];
     for (unsigned t = 0; t < n; ++t) {
-        idx[t] = indexOf(tables_[t], ctx.pc, gh);
+        idx[t] = indexOf(tables_[t], ctx.pc, hist);
         const Row& row = tables_[t].rows[idx[t]];
-        hit[t] = row.valid && row.tag == tagOf(tables_[t], ctx.pc, gh);
+        hit[t] = row.valid && row.tag == tagOf(tables_[t], ctx.pc, hist);
     }
 
     for (unsigned i = 0; i < ctx.validSlots && i < inout.width; ++i) {
@@ -248,14 +250,14 @@ void
 Tage::update(const bpu::ResolveEvent& ev)
 {
     assert(ev.ghist != nullptr);
-    const HistoryRegister& gh = *ev.ghist;
+    const std::uint64_t hist = ev.ghist->low(64);
     const unsigned n = static_cast<unsigned>(tables_.size());
 
     std::size_t idx[kMaxTables];
     std::uint32_t tag[kMaxTables];
     for (unsigned t = 0; t < n; ++t) {
-        idx[t] = indexOf(tables_[t], ev.pc, gh);
-        tag[t] = tagOf(tables_[t], ev.pc, gh);
+        idx[t] = indexOf(tables_[t], ev.pc, hist);
+        tag[t] = tagOf(tables_[t], ev.pc, hist);
     }
 
     for (unsigned i = 0; i < fetchWidth(); ++i) {

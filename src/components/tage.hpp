@@ -98,21 +98,25 @@ class Tage final : public bpu::PredictorComponent
     struct Table
     {
         TageTableParams p;
+        unsigned idxBits = 0;       ///< ceilLog2(p.sets).
+        std::uint64_t histMask = 0; ///< The p.histLen newest bits (<= 64).
         std::vector<Row> rows;
         /** sets * fetchWidth counters; row r's run starts at
          *  r*fetchWidth. */
         std::vector<SatCounter> ctrs;
     };
 
-    std::size_t indexOf(const Table& t, Addr pc,
-                        const HistoryRegister& gh) const;
-    std::uint32_t tagOf(const Table& t, Addr pc,
-                        const HistoryRegister& gh) const;
+    /** Index and tag hashes; @p hist is the newest 64 history bits
+     *  (HistoryRegister::low(64)), read once for every table. */
+    std::size_t indexOf(const Table& t, Addr pc, std::uint64_t hist) const;
+    std::uint32_t tagOf(const Table& t, Addr pc, std::uint64_t hist) const;
 
     /** Decay all useful counters (periodic aging). */
     void decayUseful();
 
     TageParams params_;
+    /** Fetch-packet offset bits dropped from the PC before hashing. */
+    unsigned pcShift_;
     std::vector<Table> tables_;
     SignedSatCounter useAltOnNa_{4, 0};
     std::uint64_t updateCount_ = 0;

@@ -370,7 +370,7 @@ Frontend::tick(Cycle now)
         }
 
         ++p.stage;
-        const bpu::PredictionBundle b = bpu_.stage(p.query, p.stage);
+        const bpu::PredictionBundle& b = bpu_.stage(p.query, p.stage);
 
         if (p.stage == 1) {
             // End of Fetch-1: capture histories before this packet's
@@ -559,7 +559,7 @@ Frontend::restoreState(warp::StateReader& r)
         p->startSlot = r.u32();
         p->stage = r.u32();
         p->stallUntil = r.u64();
-        p->query.restoreState(r);
+        p->query.restoreState(r, bpu_.predictor().components().size());
         p->predNextPc = r.u64();
         p->pushedBits.clear();
         const std::uint32_t nBits = r.u32();

@@ -50,12 +50,12 @@ TraceDrivenEvaluator::step(Addr pc, unsigned slot_idx, bool taken,
     // Idealized predict: perfect, instantly-updated histories.
     q_.reset(pc, pred_.width(), numComps_, pred_.width());
     q_.captureHistory(ghist_, lhist_[lidx]);
-    bundle_ = bpu::PredictionBundle{};
-    bundle_.width = pred_.width();
-    for (unsigned d = 1; d <= pred_.maxLatency(); ++d)
-        bundle_ = pred_.evaluateStage(q_, d);
+    for (unsigned d = 1; d < pred_.maxLatency(); ++d)
+        pred_.evaluateStage(q_, d);
+    const bpu::PredictionBundle& bundle =
+        pred_.evaluateStage(q_, pred_.maxLatency());
 
-    const auto& slot = bundle_.slots[slot_idx];
+    const auto& slot = bundle.slots[slot_idx];
     const bool mispredicted = (slot.valid && slot.taken) != taken;
     if (measured) {
         ++res.branches;
@@ -75,23 +75,25 @@ TraceDrivenEvaluator::step(Addr pc, unsigned slot_idx, bool taken,
     ev.cfiTaken = taken;
     ev.target = target;
     ev.mispredicted = mispredicted;
-    ev.predicted = &bundle_;
+    ev.predicted = &bundle;
 
     // Fire (speculative components like the loop predictor count
     // at query time, and in a trace model speculation is perfect).
+    // The query's own metadata carries the events: the next step's
+    // reset clears it.
     bpu::FireEvent fev;
     fev.pc = pc;
-    fev.finalPred = &bundle_;
+    fev.finalPred = &bundle;
     fev.ghist = &q_.ghist();
     fev.lhist = q_.lhist();
-    metas_ = q_.metadata();
-    pred_.fire(fev, metas_);
+    bpu::MetadataBundle& metas = q_.metadata();
+    pred_.fire(fev, metas);
     if (mispredicted) {
         // Immediate resolution: the fast mispredict event fires
         // right away (perfect repair, zero delay).
-        pred_.mispredict(ev, metas_);
+        pred_.mispredict(ev, metas);
     }
-    pred_.update(ev, metas_);
+    pred_.update(ev, metas);
 
     ghist_.push(taken);
     lhist_[lidx] = ((lhist_[lidx] << 1) | (taken ? 1 : 0)) &

@@ -95,8 +95,6 @@ class TraceDrivenEvaluator
     // stops constructing/allocating per branch.
     unsigned numComps_;
     bpu::QueryState q_;
-    bpu::PredictionBundle bundle_;
-    bpu::MetadataBundle metas_;
 };
 
 } // namespace cobra::trace

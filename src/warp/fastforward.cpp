@@ -29,9 +29,10 @@ cfiTypeOf(OpClass op)
     }
 }
 
-/** Warm one fetch packet through the real BPU protocol. */
+/** Warm one fetch packet through the real BPU protocol, with @p q
+ *  as its query (beginQuery resets it). */
 std::uint64_t
-warmPacket(sim::Simulator& s, std::uint64_t budget)
+warmPacket(sim::Simulator& s, std::uint64_t budget, bpu::QueryState& q)
 {
     bpu::BranchPredictorUnit& bpu = s.bpu();
     exec::Oracle& oracle = s.oracle();
@@ -55,9 +56,9 @@ warmPacket(sim::Simulator& s, std::uint64_t budget)
         static_cast<unsigned>((pc >> 2) & (fw - 1));
     const std::uint32_t rasPtrSnap = ras.pointer();
 
-    bpu::QueryState q;
     bpu.beginQuery(q, pc, fw);
-    bpu::PredictionBundle bundle = bpu.stage(q, 1);
+    // The query's bundle: each later stage rebuilds it in place.
+    const bpu::PredictionBundle& bundle = bpu.stage(q, 1);
     bpu.captureHistory(q);
 
     // ---- Consume the packet's architectural instructions --------------
@@ -109,7 +110,7 @@ warmPacket(sim::Simulator& s, std::uint64_t budget)
 
     // Evaluate the remaining stages so every component provides.
     for (unsigned d = 2; d <= bpu.maxLatency(); ++d)
-        bundle = bpu.stage(q, d);
+        bpu.stage(q, d);
 
     bpu::FinalizeArgs args;
     args.finalPred = &bundle;
@@ -187,8 +188,9 @@ FastForwardResult
 fastForward(sim::Simulator& s, std::uint64_t insts)
 {
     FastForwardResult out;
+    bpu::QueryState q;
     while (out.insts < insts) {
-        out.insts += warmPacket(s, insts - out.insts);
+        out.insts += warmPacket(s, insts - out.insts, q);
         ++out.packets;
     }
 

@@ -82,14 +82,15 @@ saveMetas(StateWriter& w, const bpu::MetadataBundle& metas)
         saveMeta(w, m);
 }
 
+/** Load a metadata bundle that must hold @p count entries, one per
+ *  component of the predictor being restored. */
 inline void
-loadMetas(StateReader& r, bpu::MetadataBundle& metas)
+loadMetas(StateReader& r, bpu::MetadataBundle& metas, std::size_t count)
 {
-    const std::uint32_t n = r.u32();
-    if (n > 64)
-        r.fail("metadata bundle count out of range");
+    if (r.u32() != count)
+        r.fail("metadata count differs from the component count");
     metas.clear();
-    for (std::uint32_t i = 0; i < n; ++i) {
+    for (std::size_t i = 0; i < count; ++i) {
         bpu::Metadata m;
         loadMeta(r, m);
         metas.push_back(m);

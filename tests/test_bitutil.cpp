@@ -41,6 +41,21 @@ TEST(BitUtil, CeilLog2)
     EXPECT_EQ(ceilLog2(4), 2u);
     EXPECT_EQ(ceilLog2(1024), 10u);
     EXPECT_EQ(ceilLog2(1025), 11u);
+
+    // The definition: the smallest l with 2^l >= v.
+    const auto byLoop = [](std::uint64_t v) {
+        unsigned l = 0;
+        while (l < 64 && (std::uint64_t{1} << l) < v)
+            ++l;
+        return l;
+    };
+    for (std::uint64_t v = 1; v <= (std::uint64_t{1} << 20); ++v)
+        ASSERT_EQ(ceilLog2(v), byLoop(v)) << v;
+    for (unsigned k = 1; k <= 63; ++k) {
+        const std::uint64_t p = std::uint64_t{1} << k;
+        for (std::uint64_t v : {p - 1, p, p + 1})
+            ASSERT_EQ(ceilLog2(v), byLoop(v)) << "2^" << k;
+    }
 }
 
 TEST(BitUtil, FloorLog2)

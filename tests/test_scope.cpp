@@ -9,6 +9,7 @@
  * reconcile exactly with the aggregate counters.
  */
 
+#include <array>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -310,6 +311,64 @@ TEST(SimulatorScope, ProviderCorrectnessIsCredited)
         }
     }
     EXPECT_GT(credited, 0u);
+}
+
+TEST(SimulatorScope, CompAttributionIsPinned)
+{
+    // All six bpu.comp.* counters of every component of the four
+    // presets on one leela run, so a change to how the composer
+    // counts attribution shows up as a changed number.
+    struct Pin
+    {
+        const char* design;
+        const char* path;
+        std::array<std::uint64_t, 6> counts;
+    };
+    const char* const names[6] = {"dir_provided",     "dir_overrides",
+                                  "dir_agreements",   "target_provided",
+                                  "provider_correct", "provider_wrong"};
+    const Pin pins[] = {
+        {"Tournament", "bpu.comp.TOURNEY", {41996, 0, 0, 4031, 2317, 238}},
+        {"Tournament", "bpu.comp.GBIM", {38028, 161, 4944, 0, 0, 0}},
+        {"Tournament", "bpu.comp.BTB", {5105, 0, 0, 5105, 0, 0}},
+        {"Tournament", "bpu.comp.LBIM", {41996, 0, 0, 0, 0, 0}},
+        {"B2", "bpu.comp.GTAG", {176, 176, 40192, 0, 100, 61}},
+        {"B2", "bpu.comp.BTB", {0, 0, 41288, 4968, 0, 0}},
+        {"B2", "bpu.comp.BIM", {41288, 0, 0, 0, 2237, 157}},
+        {"TAGE-L", "bpu.comp.LOOP", {0, 0, 41692, 0, 0, 0}},
+        {"TAGE-L", "bpu.comp.TAGE", {64, 64, 41628, 0, 45, 16}},
+        {"TAGE-L", "bpu.comp.BTB", {0, 0, 42608, 4465, 0, 0}},
+        {"TAGE-L", "bpu.comp.BIM", {42013, 6, 595, 0, 2124, 177}},
+        {"TAGE-L", "bpu.comp.uBTB", {690, 0, 0, 690, 158, 35}},
+        {"REF-BIG", "bpu.comp.LOOP", {0, 0, 43416, 0, 0, 0}},
+        {"REF-BIG", "bpu.comp.TAGE", {54, 54, 43362, 0, 43, 7}},
+        {"REF-BIG", "bpu.comp.BTB", {0, 0, 44544, 4778, 0, 0}},
+        {"REF-BIG", "bpu.comp.BIM", {43963, 9, 581, 0, 2179, 190}},
+        {"REF-BIG", "bpu.comp.uBTB", {696, 0, 0, 696, 112, 24}},
+    };
+    for (sim::Design d : {sim::Design::Tourney, sim::Design::B2,
+                          sim::Design::TageL, sim::Design::RefBig}) {
+        sim::SimConfig cfg = sim::makeConfig(d);
+        cfg.warmupInsts = 2000;
+        cfg.maxInsts = 20000;
+        sim::Simulator s(cache().get("leela"), sim::buildTopology(d), cfg);
+        s.run();
+        const scope::StatRegistry& reg = s.statRegistry();
+        std::size_t groups = 0;
+        for (const auto& n : reg.nodes())
+            groups += n.path.rfind("bpu.comp.", 0) == 0;
+        std::size_t pinned = 0;
+        for (const Pin& pin : pins) {
+            if (std::string(pin.design) != sim::designName(d))
+                continue;
+            ++pinned;
+            for (std::size_t k = 0; k < 6; ++k) {
+                EXPECT_EQ(reg.get(pin.path, names[k]), pin.counts[k])
+                    << pin.design << " " << pin.path << "." << names[k];
+            }
+        }
+        EXPECT_EQ(pinned, groups) << sim::designName(d);
+    }
 }
 
 TEST(SimulatorScope, TracingDoesNotPerturbResults)

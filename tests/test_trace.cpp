@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "program/workload.hpp"
+#include "search/space.hpp"
+#include "sim/design_spec.hpp"
 #include "sim/presets.hpp"
 #include "test_util.hpp"
 #include "trace/trace.hpp"
@@ -85,6 +87,58 @@ TEST(Trace, IdealizedEvaluationBeatsOrMatchesInCore)
     const auto coreRes = s.run();
 
     EXPECT_GE(traceRes.accuracy(), coreRes.accuracy() - 0.01);
+}
+
+TEST(Trace, SearchLanesArePinned)
+{
+    // Search tiers 0/1 in miniature: the four paper presets and the
+    // first twelve SearchSpace(1) samples over 40k-branch streams
+    // with a 10k warm-up. The lane suites compare lanes with solo
+    // walks of the same evaluator; this pins the counts themselves.
+    struct Pin
+    {
+        std::uint64_t branches;
+        std::uint64_t mispredicts;
+    };
+    // Per workload: Tournament, B2, TAGE-L, REF-BIG, then the
+    // samples in draw order.
+    const std::vector<std::pair<const char*, std::vector<Pin>>> pins = {
+        {"mcf",
+         {{30000, 1288}, {30000, 1794}, {30000, 898}, {30000, 908},
+          {30000, 2494}, {30000, 1683}, {30000, 2167}, {30000, 1505},
+          {30000, 843}, {30000, 2095}, {30000, 846}, {30000, 925},
+          {30000, 1360}, {30000, 1708}, {30000, 876}, {30000, 959}}},
+        {"leela",
+         {{30000, 2053}, {30000, 1558}, {30000, 766}, {30000, 793},
+          {30000, 2602}, {30000, 2108}, {30000, 2251}, {30000, 1526},
+          {30000, 789}, {30000, 2542}, {30000, 794}, {30000, 1189},
+          {30000, 2048}, {30000, 2106}, {30000, 824}, {30000, 893}}},
+    };
+    std::vector<sim::DesignSpec> specs;
+    for (sim::Design d : {sim::Design::Tourney, sim::Design::B2,
+                          sim::Design::TageL, sim::Design::RefBig})
+        specs.push_back(sim::presetSpec(d));
+    search::SearchSpace space(1);
+    for (int i = 0; i < 12; ++i)
+        specs.push_back(space.sample());
+
+    for (const auto& [workload, want] : pins) {
+        const prog::Program p = prog::buildWorkload(
+            prog::WorkloadLibrary::profile(workload));
+        const DecodedTrace tr = recordTrace(p, 40'000);
+        ASSERT_EQ(want.size(), specs.size());
+        for (std::size_t i = 0; i < specs.size(); ++i) {
+            TraceDrivenEvaluator ev(
+                bpu::ComposedPredictor(sim::buildTopology(specs[i]),
+                                       specs[i].fetchWidth),
+                specs[i].bpu.ghistBits, specs[i].bpu.lhistBits);
+            const TraceResult r = ev.evaluate(tr, 10'000);
+            EXPECT_EQ(r.branches, want[i].branches)
+                << workload << " lane " << i;
+            EXPECT_EQ(r.mispredicts, want[i].mispredicts)
+                << workload << " lane " << i;
+        }
+    }
 }
 
 } // namespace

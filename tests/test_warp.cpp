@@ -462,6 +462,69 @@ TEST(Snapshot, FingerprintMismatchIsRejectedOnRestore)
                  guard::CheckpointError);
 }
 
+TEST(Snapshot, MalformedQueryIsRejected)
+{
+    // A query in a snapshot must hold exactly one result and one
+    // metadata entry per component of the restoring predictor, and a
+    // provide byte only the three field groups: anything else would
+    // index past the query's arrays once evaluation resumes.
+    bpu::ComposedPredictor cp(sim::buildTopology(sim::Design::B2), 4);
+    const std::size_t n = cp.components().size();
+    bpu::QueryState q;
+    q.reset(0x10040, 4, static_cast<unsigned>(n), 4);
+    cp.evaluateStage(q, 1);
+    q.captureHistory(HistoryRegister(64), 0);
+    for (unsigned d = 2; d <= cp.maxLatency(); ++d)
+        cp.evaluateStage(q, d);
+    warp::StateWriter w;
+    q.saveState(w);
+    const std::vector<std::uint8_t> good = w.take();
+
+    const auto restore = [](const std::vector<std::uint8_t>& bytes,
+                            std::size_t comps) {
+        warp::StateReader r(bytes);
+        bpu::QueryState back;
+        try {
+            back.restoreState(r, comps);
+            r.expectEnd();
+        } catch (const guard::CheckpointError& e) {
+            return std::string(e.what());
+        }
+        warp::StateWriter again;
+        back.saveState(again);
+        return again.bytes() == bytes ? std::string("accepted")
+                                      : std::string("changed");
+    };
+    EXPECT_EQ(restore(good, n), "accepted");
+    EXPECT_NE(restore(good, n + 1).find("query result count"),
+              std::string::npos);
+    EXPECT_NE(restore(good, n - 1).find("query result count"),
+              std::string::npos);
+
+    // The archive ends with the metadata (a u32 count, then 32 bytes
+    // per entry) and two 8-byte provider arrays; before them sit the
+    // results, 125 bytes each: computed flag, 116-byte bundle, then
+    // one provide byte per slot.
+    const std::size_t metaAt = good.size() - 16 - n * 32 - 4;
+    {
+        std::vector<std::uint8_t> bad = good;
+        bad[metaAt] = static_cast<std::uint8_t>(n - 1);
+        bad.erase(bad.begin() + static_cast<std::ptrdiff_t>(metaAt + 4),
+                  bad.begin() + static_cast<std::ptrdiff_t>(metaAt + 36));
+        EXPECT_NE(restore(bad, n).find("metadata count"),
+                  std::string::npos);
+    }
+    const std::size_t provideAt = metaAt - n * 125 + 1 + 116;
+    for (std::uint8_t byte : {std::uint8_t{0x07}, std::uint8_t{0x08},
+                              std::uint8_t{0x80}}) {
+        std::vector<std::uint8_t> bad = good;
+        bad[provideAt] = byte;
+        EXPECT_EQ(restore(bad, n).find("provide byte") != std::string::npos,
+                  byte != 0x07)
+            << int{byte};
+    }
+}
+
 TEST(Snapshot, CapturedPayloadBytesArePinned)
 {
     // The checkpoint byte format is a contract with files already on
