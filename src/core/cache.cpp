@@ -1,5 +1,7 @@
 #include "core/cache.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 
 #include "common/bitutil.hpp"
@@ -37,7 +39,7 @@ Cache::probe(Addr addr) const
     const std::uint64_t tag = tagOf(addr);
     for (unsigned w = 0; w < params_.ways; ++w) {
         const Line& l = lines_[set * params_.ways + w];
-        if (l.valid && l.tag == tag)
+        if (l.lruStamp != 0 && l.tag == tag)
             return true;
     }
     return false;
@@ -51,23 +53,20 @@ Cache::access(Addr addr)
     const std::uint64_t tag = tagOf(addr);
     for (unsigned w = 0; w < params_.ways; ++w) {
         Line& l = lines_[set * params_.ways + w];
-        if (l.valid && l.tag == tag) {
+        if (l.lruStamp != 0 && l.tag == tag) {
             l.lruStamp = ++stamp_;
             return true;
         }
     }
     ++misses_;
+    // The least recently used way; an invalid line's stamp is 0, so
+    // the first invalid way wins.
     Line* victim = &lines_[set * params_.ways];
-    for (unsigned w = 0; w < params_.ways; ++w) {
+    for (unsigned w = 1; w < params_.ways; ++w) {
         Line& l = lines_[set * params_.ways + w];
-        if (!l.valid) {
-            victim = &l;
-            break;
-        }
         if (l.lruStamp < victim->lruStamp)
             victim = &l;
     }
-    victim->valid = true;
     victim->tag = tag;
     victim->lruStamp = ++stamp_;
     return false;
@@ -147,19 +146,33 @@ CacheHierarchy::storeAccess(Addr addr)
     return 1;
 }
 
-// The line array is the bulk of a checkpoint, so it travels as one
-// block: per line the bytes of boolean(valid), u64(tag), u64(lruStamp).
-constexpr std::size_t kLineStateBytes = 1 + 8 + 8;
+// The line array is the bulk of a checkpoint, so it travels as two
+// blocks: a bitmap of the valid lines (bit i % 8 of byte i / 8 is line
+// i), then u64(tag), u64(lruStamp) of each valid line in line order.
+// An empty line costs one bit, and the bytes are a function of the
+// state.
+constexpr std::size_t kLineStateBytes = 8 + 8;
 
 void
 Cache::saveState(warp::StateWriter& w) const
 {
-    w.u64(lines_.size());
-    std::uint8_t* p = w.block(lines_.size() * kLineStateBytes);
+    const std::size_t n = lines_.size();
+    w.u64(n);
+    std::uint8_t* bitmap = w.block((n + 7) / 8);
+    std::size_t valid = 0;
+    for (std::size_t b = 0; b * 8 < n; ++b) {
+        unsigned bits = 0;
+        for (std::size_t i = b * 8; i < std::min(n, b * 8 + 8); ++i)
+            bits |= unsigned{lines_[i].lruStamp != 0} << (i % 8);
+        bitmap[b] = static_cast<std::uint8_t>(bits);
+        valid += static_cast<std::size_t>(std::popcount(bits));
+    }
+    std::uint8_t* p = w.block(valid * kLineStateBytes);
     for (const Line& l : lines_) {
-        p[0] = l.valid ? 1 : 0;
-        warp::storeLE(p + 1, l.tag);
-        warp::storeLE(p + 9, l.lruStamp);
+        if (l.lruStamp == 0)
+            continue;
+        warp::storeLE(p, l.tag);
+        warp::storeLE(p + 8, l.lruStamp);
         p += kLineStateBytes;
     }
     w.u64(stamp_);
@@ -168,16 +181,40 @@ Cache::saveState(warp::StateWriter& w) const
 void
 Cache::restoreState(warp::StateReader& r)
 {
-    if (r.u64() != lines_.size())
+    const std::size_t n = lines_.size();
+    if (r.u64() != n)
         r.fail("cache line count does not match this configuration");
-    const std::uint8_t* p = r.block(lines_.size() * kLineStateBytes);
-    for (Line& l : lines_) {
-        l.valid = r.checkedBool(p[0]);
-        l.tag = warp::loadLE<std::uint64_t>(p + 1);
-        l.lruStamp = warp::loadLE<std::uint64_t>(p + 9);
-        p += kLineStateBytes;
+    const std::size_t bitmapBytes = (n + 7) / 8;
+    const std::uint8_t* bitmap = r.block(bitmapBytes);
+    if (n % 8 != 0 && (bitmap[n / 8] >> (n % 8)) != 0)
+        r.fail("cache bitmap marks a line past the last one");
+    std::size_t valid = 0;
+    for (std::size_t b = 0; b < bitmapBytes; ++b)
+        valid += static_cast<std::size_t>(std::popcount(bitmap[b]));
+    const std::uint8_t* entries = r.block(valid * kLineStateBytes);
+    const std::uint64_t clock = r.u64();
+    for (std::size_t k = 0; k < valid; ++k) {
+        const auto stamp =
+            warp::loadLE<std::uint64_t>(entries + k * kLineStateBytes + 8);
+        if (stamp == 0 || stamp > clock)
+            r.fail("valid cache line stamp outside [1, LRU clock]");
     }
-    stamp_ = r.u64();
+
+    // Every line not named below must read invalid; a cache that never
+    // filled a line (stamp_ == 0) already does.
+    if (stamp_ != 0)
+        std::fill(lines_.begin(), lines_.end(), Line{});
+    const std::uint8_t* p = entries;
+    for (std::size_t b = 0; b < bitmapBytes; ++b) {
+        for (unsigned bits = bitmap[b]; bits != 0; bits &= bits - 1) {
+            Line& l = lines_[b * 8 + static_cast<std::size_t>(
+                                         std::countr_zero(bits))];
+            l.tag = warp::loadLE<std::uint64_t>(p);
+            l.lruStamp = warp::loadLE<std::uint64_t>(p + 8);
+            p += kLineStateBytes;
+        }
+    }
+    stamp_ = clock;
 }
 
 void

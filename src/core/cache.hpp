@@ -24,6 +24,13 @@ class StateReader;
 
 namespace cobra::core {
 
+/**
+ * Largest cache level a configuration may ask for: 4x REF-BIG's 16 MiB
+ * L3. Serve admits inline specs, so this caps what a request can make
+ * the daemon allocate.
+ */
+constexpr std::uint64_t kMaxCacheBytes = std::uint64_t{64} << 20;
+
 /** Parameters of one cache level. */
 struct CacheParams
 {
@@ -62,14 +69,20 @@ class Cache
 
     phys::PhysicalCost physicalCost() const;
 
-    /** Checkpoint tag/LRU state (counters ride the stat registry). */
+    /**
+     * Checkpoint tag/LRU state (counters ride the stat registry): a
+     * bitmap of the valid lines, then those lines only.
+     */
     void saveState(warp::StateWriter& w) const;
     void restoreState(warp::StateReader& r);
 
   private:
+    /**
+     * A line is valid iff its stamp is nonzero: a fill stamps
+     * `++stamp_` and nothing invalidates a line.
+     */
     struct Line
     {
-        bool valid = false;
         std::uint64_t tag = 0;
         std::uint64_t lruStamp = 0;
     };

@@ -580,10 +580,12 @@ DesignSpec::validate() const
         {"core.l3_bytes", core.l3Bytes},
     };
     for (const auto& cb : cacheBytes) {
-        if (cb.v != 0 && (cb.v < 1024 || !isPow2(cb.v))) {
+        if (cb.v != 0 &&
+            (cb.v < 1024 || cb.v > core::kMaxCacheBytes || !isPow2(cb.v))) {
             throw ConfigError(cb.name,
-                              "cache override must be a power of two "
-                              ">= 1024 bytes (0 keeps the default)");
+                              "cache override must be a power of two in "
+                              "[1024, 64 MiB] bytes (0 keeps the "
+                              "default)");
         }
     }
 }

@@ -1,5 +1,6 @@
 #include "sim/simulator.hpp"
 
+#include "common/bitutil.hpp"
 #include "warp/state_io.hpp"
 
 #include <algorithm>
@@ -103,6 +104,32 @@ SimConfig::validate() const
             "instead)");
     require(faultRate >= 0.0 && faultRate <= 1.0, "faultRate",
             "must be a probability in [0, 1]");
+    const struct
+    {
+        const char* name;
+        const core::CacheParams& p;
+    } levels[] = {{"caches.l1i", caches.l1i},
+                  {"caches.l1d", caches.l1d},
+                  {"caches.l2", caches.l2},
+                  {"caches.l3", caches.l3}};
+    for (const auto& [name, p] : levels) {
+        const auto check = [&](bool ok, const char* field,
+                               const char* detail) {
+            if (!ok)
+                throw guard::ConfigError(std::string(name) + "." + field,
+                                         detail);
+        };
+        check(p.ways >= 1, "ways", "must be >= 1");
+        check(isPow2(p.lineBytes), "lineBytes", "must be a power of two");
+        check(p.sizeBytes <= core::kMaxCacheBytes, "sizeBytes",
+              "must be at most 64 MiB");
+        const std::uint64_t setBytes =
+            std::uint64_t{p.ways} * p.lineBytes;
+        check(p.sizeBytes % setBytes == 0 &&
+                  isPow2(p.sizeBytes / setBytes),
+              "sizeBytes",
+              "must be ways x lineBytes x a power-of-two set count");
+    }
     output.validate();
     bpu.validate();
 }

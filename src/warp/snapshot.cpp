@@ -1,5 +1,6 @@
 #include "warp/snapshot.hpp"
 
+#include <filesystem>
 #include <fstream>
 
 #include "sim/simulator.hpp"
@@ -97,6 +98,12 @@ writeSnapshotFile(const Snapshot& snap, const std::string& path)
 Snapshot
 readSnapshotFile(const std::string& path)
 {
+    // Only a regular file has a size to read: a directory opens as a
+    // stream whose end offset is no size, and a FIFO would block.
+    std::error_code ec;
+    if (std::filesystem::exists(path, ec) &&
+        !std::filesystem::is_regular_file(path, ec))
+        throw guard::CheckpointError(path, "not a regular file");
     std::ifstream is(path, std::ios::binary | std::ios::ate);
     if (!is)
         throw guard::CheckpointError(path, "cannot open for reading");

@@ -39,7 +39,7 @@ struct Snapshot
     std::vector<std::uint8_t> payload;
 
     static constexpr std::uint32_t kMagic = 0x43574152u; ///< "RAWC".
-    static constexpr std::uint32_t kVersion = 1;
+    static constexpr std::uint32_t kVersion = 2;
 };
 
 /** Capture the full state of @p s into a validated Snapshot. */

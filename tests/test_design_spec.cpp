@@ -232,6 +232,9 @@ TEST(DesignSpec, SizingFieldsOutOfRangeNameTheField)
                 << e.what();
         }
     }
+    sim::DesignSpec atCap = sim::presetSpec("tourney");
+    atCap.core.l3Bytes = std::uint64_t{64} << 20;
+    EXPECT_NO_THROW(atCap.validate());
 }
 
 TEST(DesignSpec, MinimalSingleComponentSpecIsValid)

@@ -93,12 +93,48 @@ TEST(GuardConfig, SizingFieldsAreBounded)
     rejects([](sim::SimConfig& c) { c.bpu.historyFileEntries = 4097; });
     rejects([](sim::SimConfig& c) { c.bpu.lhistSets = 65537; });
 
+    // Cache levels: the rejection names the level and the field. The
+    // cap is 64 MiB a level; geometry the Cache constructor only
+    // asserts is checked here too.
+    const auto rejectsCache = [](const char* field, auto&& mutate) {
+        sim::SimConfig cfg = sim::makeConfig(sim::Design::B2);
+        mutate(cfg.caches);
+        try {
+            cfg.validate();
+            ADD_FAILURE() << "accepted " << field;
+        } catch (const guard::ConfigError& e) {
+            EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+                << e.what();
+        }
+    };
+    constexpr std::uint64_t kCap = std::uint64_t{64} << 20;
+    rejectsCache("caches.l3.sizeBytes",
+                 [](auto& c) { c.l3.sizeBytes = std::uint64_t{1} << 50; });
+    rejectsCache("caches.l2.sizeBytes",
+                 [&](auto& c) { c.l2.sizeBytes = 2 * kCap; });
+    rejectsCache("caches.l1i.ways", [](auto& c) { c.l1i.ways = 0; });
+    rejectsCache("caches.l1d.lineBytes", [](auto& c) { c.l1d.lineBytes = 0; });
+    rejectsCache("caches.l1d.lineBytes",
+                 [](auto& c) { c.l1d.lineBytes = 48; });
+    // 3 ways of 64 bytes do not divide 32 KiB; 48 KiB in 8 ways is 96
+    // sets.
+    rejectsCache("caches.l1i.sizeBytes", [](auto& c) { c.l1i.ways = 3; });
+    rejectsCache("caches.l1d.sizeBytes",
+                 [](auto& c) { c.l1d.sizeBytes = 48 * 1024; });
+    rejectsCache("caches.l2.sizeBytes", [](auto& c) { c.l2.sizeBytes = 0; });
+
     sim::SimConfig atCaps = sim::makeConfig(sim::Design::B2);
     atCaps.frontend.rasEntries = 4096;
     atCaps.backend.robEntries = 4096;
     atCaps.bpu.historyFileEntries = 4096;
     atCaps.bpu.lhistSets = 65536;
+    atCaps.caches.l3.sizeBytes = kCap;
     EXPECT_NO_THROW(atCaps.validate());
+    // Any way count whose sets come out a power of two is a geometry.
+    sim::SimConfig threeWays = sim::makeConfig(sim::Design::B2);
+    threeWays.caches.l1d.sizeBytes = 3 * 64 * 64;
+    threeWays.caches.l1d.ways = 3;
+    EXPECT_NO_THROW(threeWays.validate());
 
     sim::SimConfig noRas = sim::makeConfig(sim::Design::B2);
     noRas.frontend.rasEntries = 0;

@@ -744,6 +744,33 @@ TEST(ServeWarmCache, BitFlippedEntryIsEvictedAsAMiss)
     EXPECT_FALSE(fs::exists(key));
 }
 
+TEST(ServeWarmCache, DirectoryAndOldVersionEntriesAreEvictedAsMisses)
+{
+    serve::WarmCache cache(scratchDir("cobra_warm_foreign"));
+    const std::string dirKey = cache.keyPath("leela", 9, 2, 0);
+    fs::create_directories(dirKey);
+
+    // An entry stored by this build, then its version word (bytes 4-7,
+    // after the magic) set to 1: the format before valid-line cache
+    // sections.
+    warp::Snapshot snap;
+    snap.payload.assign(64, 7);
+    const std::string oldKey = cache.keyPath("leela", 9, 2, 1);
+    cache.store(oldKey, snap);
+    std::string bytes = serve::readFileText(oldKey);
+    ASSERT_EQ(bytes[4], static_cast<char>(warp::Snapshot::kVersion));
+    bytes[4] = 1;
+    writeFile(oldKey, bytes);
+
+    warp::Snapshot out;
+    EXPECT_FALSE(cache.lookup(dirKey, out));
+    EXPECT_FALSE(cache.lookup(oldKey, out));
+    EXPECT_EQ(cache.stats().get("rejected"), 2u);
+    EXPECT_EQ(cache.stats().get("hits"), 0u);
+    EXPECT_FALSE(fs::exists(dirKey));
+    EXPECT_FALSE(fs::exists(oldKey));
+}
+
 // ---------------------------------------------------------------------
 // Concurrent workload-cache use
 // ---------------------------------------------------------------------

@@ -192,10 +192,11 @@ useStressCore(sim::SimConfig& cfg)
 
 /**
  * Tourney's spec with one sizing field out of range each: an empty
- * RAS, then every capped field one past its cap (lhist_sets, which
- * must be a power of two, at the next one). Each spec comes with the
- * field its rejection must name. None allocates more than a few MB if
- * a model is built from it anyway.
+ * RAS, then every capped field one past its cap (the power-of-two
+ * fields, lhist_sets and the cache sizes, at the next power of two),
+ * and an L3 of 2^50 bytes. Each spec comes with the field its
+ * rejection must name. The tests only validate them: a model built
+ * from the cache specs would allocate what they ask for.
  */
 inline std::vector<std::pair<std::string, sim::DesignSpec>>
 outOfRangeSizingSpecs()
@@ -212,6 +213,16 @@ outOfRangeSizingSpecs()
     add("bpu.history_file_entries",
         [](auto& s) { s.bpu.historyFileEntries = 4097; });
     add("bpu.lhist_sets", [](auto& s) { s.bpu.lhistSets = 131072; });
+    add("core.l1i_bytes",
+        [](auto& s) { s.core.l1iBytes = std::uint64_t{128} << 20; });
+    add("core.l1d_bytes",
+        [](auto& s) { s.core.l1dBytes = std::uint64_t{128} << 20; });
+    add("core.l2_bytes",
+        [](auto& s) { s.core.l2Bytes = std::uint64_t{128} << 20; });
+    add("core.l3_bytes",
+        [](auto& s) { s.core.l3Bytes = std::uint64_t{128} << 20; });
+    add("core.l3_bytes",
+        [](auto& s) { s.core.l3Bytes = std::uint64_t{1} << 50; });
     return out;
 }
 

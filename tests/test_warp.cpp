@@ -8,6 +8,8 @@
  * runs against their solo runs.
  */
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -17,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/random.hpp"
 #include "components/tage.hpp"
 #include "core/cache.hpp"
 #include "guard/errors.hpp"
@@ -167,13 +170,23 @@ TEST(StateIo, OversizedVectorLengthIsAStructuredError)
 
 namespace {
 
-/** A small cache with a few lines touched, and its saved state. */
-std::vector<std::uint8_t>
-savedCacheState(const core::CacheParams& params)
+/**
+ * 3 ways x 4 sets of 64-byte lines: 12 lines, so the last of its two
+ * bitmap bytes has four bits past the last line.
+ */
+core::CacheParams
+twelveLineCache()
 {
-    core::Cache c(params);
-    for (Addr a = 0; a < 64 * 40; a += 64)
-        c.access(a * 3);
+    core::CacheParams params;
+    params.sizeBytes = 3 * 4 * 64;
+    params.ways = 3;
+    return params;
+}
+
+/** The saved state of @p c. */
+std::vector<std::uint8_t>
+savedCacheState(const core::Cache& c)
+{
     warp::StateWriter w;
     c.saveState(w);
     return w.take();
@@ -193,33 +206,112 @@ restoreCacheError(const core::CacheParams& params,
     } catch (const guard::CheckpointError& e) {
         return e.what();
     }
-    return "";
+    return savedCacheState(c) == bytes ? "" : "saved different bytes";
 }
 
 } // namespace
 
 TEST(StateIo, CacheLineBlockRoundTripsAndRejectsBadBytes)
 {
-    core::CacheParams params;
-    params.sizeBytes = 4 * 1024;
-    params.ways = 4;
-    const std::vector<std::uint8_t> bytes = savedCacheState(params);
-    // u64 line count, 17 bytes per line, u64 LRU clock.
-    const std::size_t lines = params.sizeBytes / params.lineBytes;
-    ASSERT_EQ(bytes.size(), 8 + 17 * lines + 8);
+    // Lines 0, 3, 6, 9 and 12 land in sets 0, 3, 2, 1 and 0, so the
+    // valid lines are 0 and 1 (set 0), 3, 6 and 9.
+    const core::CacheParams params = twelveLineCache();
+    core::Cache c(params);
+    for (Addr line = 0; line <= 12; line += 3)
+        c.access(line * 64);
+    const std::vector<std::uint8_t> bytes = savedCacheState(c);
+    // Format version 2: u64 line count, a 2-byte bitmap, u64 tag and
+    // u64 stamp per valid line, u64 LRU clock.
+    constexpr std::size_t kBitmap = 8, kEntries = 10, kClock = 10 + 5 * 16;
+    ASSERT_EQ(bytes.size(), kClock + 8);
+    EXPECT_EQ(bytes[kBitmap], 0b01001011);
+    EXPECT_EQ(bytes[kBitmap + 1], 0b0010);
     EXPECT_EQ(restoreCacheError(params, bytes, bytes.size()), "");
 
-    // Line 5's valid byte set to 2.
-    std::vector<std::uint8_t> bad = bytes;
-    bad[8 + 17 * 5] = 2;
-    EXPECT_NE(restoreCacheError(params, bad, bad.size())
-                  .find("boolean byte out of range"),
-              std::string::npos);
+    const auto rejects = [&](std::vector<std::uint8_t> bad,
+                             std::size_t size, const char* why) {
+        return restoreCacheError(params, bad, size).find(why) !=
+               std::string::npos;
+    };
+    const auto mutated = [&](auto&& mutate) {
+        std::vector<std::uint8_t> bad = bytes;
+        mutate(bad);
+        return bad;
+    };
 
-    // The line table cut short, mid-line.
-    EXPECT_NE(restoreCacheError(params, bytes, 8 + 17 * 7 + 3)
-                  .find("archive truncated"),
-              std::string::npos);
+    EXPECT_TRUE(rejects(mutated([](auto& b) { b[0] = 13; }), bytes.size(),
+                        "line count does not match"));
+    // Bit 4 of the second bitmap byte is line 12, one past the last.
+    EXPECT_TRUE(rejects(mutated([](auto& b) { b[kBitmap + 1] |= 0x10; }),
+                        bytes.size(), "past the last one"));
+    // Line 0's stamp (its entry's second word) zeroed, then set one
+    // above the clock (5: one fill per access).
+    EXPECT_TRUE(rejects(mutated([](auto& b) {
+                            warp::storeLE(&b[kEntries + 8],
+                                          std::uint64_t{0});
+                        }),
+                        bytes.size(), "stamp outside"));
+    EXPECT_EQ(warp::loadLE<std::uint64_t>(&bytes[kClock]), 5u);
+    EXPECT_TRUE(rejects(mutated([](auto& b) {
+                            warp::storeLE(&b[kEntries + 8],
+                                          std::uint64_t{6});
+                        }),
+                        bytes.size(), "stamp outside"));
+    // A stamp equal to the clock is in range.
+    EXPECT_EQ(restoreCacheError(params, mutated([](auto& b) {
+                                    warp::storeLE(&b[kEntries + 8],
+                                                  std::uint64_t{5});
+                                }),
+                                bytes.size()),
+              "");
+
+    // The entries cut short in the middle of the third one.
+    EXPECT_TRUE(rejects(bytes, kEntries + 2 * 16 + 5, "archive truncated"));
+    // A bitmap that names one more line than there are entries: the
+    // clock is read as part of the entries and the archive runs out.
+    EXPECT_TRUE(rejects(mutated([](auto& b) { b[kBitmap + 1] |= 0x01; }),
+                        bytes.size(), "archive truncated"));
+}
+
+TEST(StateIo, FullCacheSectionIsNoLargerThanVersion1)
+{
+    // Version 1 wrote 17 bytes per line, valid or not.
+    const core::CacheParams params = twelveLineCache();
+    core::Cache c(params);
+    for (Addr line = 0; line < 12; ++line)
+        c.access(line * 64);
+    const std::vector<std::uint8_t> bytes = savedCacheState(c);
+    EXPECT_EQ(bytes[8], 0xFF);
+    EXPECT_EQ(bytes[9], 0x0F);
+    EXPECT_LE(bytes.size(), 8 + 17 * 12 + 8);
+    EXPECT_EQ(restoreCacheError(params, bytes, bytes.size()), "");
+}
+
+TEST(StateIo, UsedCacheRestoresLikeAFreshOne)
+{
+    // A cache that filled every line of its own before the restore
+    // must forget them: the section names only lines 0, 1, 3, 6, 9.
+    const core::CacheParams params = twelveLineCache();
+    core::Cache source(params);
+    for (Addr line = 0; line <= 12; line += 3)
+        source.access(line * 64);
+    const std::vector<std::uint8_t> section = savedCacheState(source);
+
+    core::Cache fresh(params);
+    core::Cache used(params);
+    for (Addr line = 100; line < 140; ++line)
+        used.access(line * 64);
+    for (core::Cache* c : {&fresh, &used}) {
+        warp::StateReader r(section);
+        c->restoreState(r);
+        r.expectEnd();
+        EXPECT_EQ(savedCacheState(*c), section);
+    }
+    for (Addr line = 0; line < 160; line += 7) {
+        const Addr addr = (line % 29) * 64;
+        EXPECT_EQ(used.access(addr), fresh.access(addr)) << addr;
+    }
+    EXPECT_EQ(savedCacheState(used), savedCacheState(fresh));
 }
 
 TEST(StateIo, TageRowBlockRejectsBadBytes)
@@ -528,20 +620,24 @@ TEST(Snapshot, MalformedQueryIsRejected)
 TEST(Snapshot, CapturedPayloadBytesArePinned)
 {
     // The checkpoint byte format is a contract with files already on
-    // disk: the bulk table codecs must write what the per-primitive
-    // walk always wrote. Size and FNV-1a digest of a fast-forwarded
-    // capture on mcf, one per preset.
+    // disk. Size and FNV-1a digest of a fast-forwarded capture on mcf,
+    // one per preset, in format version 2, which writes each cache
+    // level as a bitmap of its valid lines and those lines only; each
+    // payload is under half its version-1 size, which wrote 17 bytes
+    // per line, valid or not.
+    static_assert(warp::Snapshot::kVersion == 2);
     struct Pin
     {
         sim::Design design;
         std::size_t bytes;
         std::uint64_t fnv;
+        std::size_t version1Bytes;
     };
     const Pin pins[] = {
-        {sim::Design::Tourney, 1397078, 0x1e3ce5a5531faf49ull},
-        {sim::Design::B2, 1392883, 0xb3a6a07b5e9d1355ull},
-        {sim::Design::TageL, 1597229, 0xc1abedc034a889f4ull},
-        {sim::Design::RefBig, 6043189, 0x3a106c4a297b71aaull},
+        {sim::Design::Tourney, 442950, 0x33ddc11c33c1d0c8ull, 1397078},
+        {sim::Design::B2, 438755, 0x14415ad67bd7600aull, 1392883},
+        {sim::Design::TageL, 643101, 0xdb8e0963108cd79full, 1597229},
+        {sim::Design::RefBig, 1665765, 0xa2a13c97ebfa6043ull, 6043189},
     };
     for (const Pin& pin : pins) {
         const sim::DesignSpec spec = sim::presetSpec(pin.design);
@@ -555,6 +651,8 @@ TEST(Snapshot, CapturedPayloadBytesArePinned)
             << sim::designName(pin.design);
         EXPECT_EQ(warp::fnv1a(snap.payload.data(), snap.payload.size()),
                   pin.fnv)
+            << sim::designName(pin.design);
+        EXPECT_LT(2 * snap.payload.size(), pin.version1Bytes)
             << sim::designName(pin.design);
     }
 }
@@ -576,10 +674,128 @@ TEST(Snapshot, FileRoundTripAndIoErrors)
 
     EXPECT_THROW(warp::readSnapshotFile(dir + "/missing.warp"),
                  guard::CheckpointError);
+    // A directory opens as a stream but has no size to read.
+    try {
+        warp::readSnapshotFile(dir);
+        ADD_FAILURE() << "a directory read as a snapshot";
+    } catch (const guard::CheckpointError& e) {
+        EXPECT_NE(std::string(e.what()).find(dir), std::string::npos)
+            << e.what();
+    }
     EXPECT_THROW(warp::writeSnapshotFile(snap, dir +
                                                    "/no/such/dir/x"),
                  guard::CheckpointError);
     std::filesystem::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------
+// Seeded mutation of real snapshots
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** A byte range [begin, end) of a payload. */
+struct Region
+{
+    std::size_t begin;
+    std::size_t end;
+};
+
+/**
+ * The valid-line bitmap of each cache level in @p payload, found from
+ * the "caches" section marker and the levels' own line counts.
+ */
+std::vector<Region>
+cacheBitmaps(const std::vector<std::uint8_t>& payload)
+{
+    warp::StateWriter marker;
+    marker.section("caches");
+    const std::vector<std::uint8_t>& m = marker.bytes();
+    const auto at = std::search(payload.begin(), payload.end(), m.begin(),
+                                m.end());
+    EXPECT_NE(at, payload.end());
+    std::size_t pos = static_cast<std::size_t>(at - payload.begin()) +
+                      m.size();
+    std::vector<Region> out;
+    for (int level = 0; level < 4; ++level) {
+        const auto lines = warp::loadLE<std::uint64_t>(&payload[pos]);
+        const Region bitmap{pos + 8, pos + 8 + (lines + 7) / 8};
+        std::size_t valid = 0;
+        for (std::size_t b = bitmap.begin; b < bitmap.end; ++b)
+            valid += static_cast<std::size_t>(std::popcount(payload[b]));
+        out.push_back(bitmap);
+        pos = bitmap.end + 16 * valid + 8;
+    }
+    return out;
+}
+
+/**
+ * Flip one byte, zero a run of up to 16, or truncate, at a position
+ * that is half the time in a cache bitmap and otherwise anywhere.
+ */
+void
+mutate(std::vector<std::uint8_t>& payload,
+       const std::vector<Region>& bitmaps, Rng& rng)
+{
+    std::size_t pos = rng.below(payload.size());
+    if (rng.chance(0.5)) {
+        const Region& r = bitmaps[rng.below(bitmaps.size())];
+        pos = r.begin + rng.below(r.end - r.begin);
+    }
+    switch (rng.below(3)) {
+    case 0:
+        payload[pos] ^= static_cast<std::uint8_t>(1 + rng.below(255));
+        break;
+    case 1:
+        std::fill_n(payload.begin() + static_cast<std::ptrdiff_t>(pos),
+                    std::min<std::size_t>(1 + rng.below(16),
+                                          payload.size() - pos),
+                    std::uint8_t{0});
+        break;
+    default:
+        payload.resize(pos);
+        break;
+    }
+}
+
+} // namespace
+
+TEST(Snapshot, MutatedPayloadsRestoreOrReject)
+{
+    // Untrusted checkpoint bytes end in a restore or a
+    // guard::CheckpointError, never a crash or undefined behaviour
+    // (the sanitizer build runs this too). Each mutant of a real
+    // mid-run capture is re-encoded, so its checksum holds and the
+    // restore decodes the mutated bytes. The cache bitmaps address
+    // the line arrays, so half the mutants land in them.
+    constexpr int kMutantsPerDesign = 150;
+    Rng rng(0xB17A5);
+    std::size_t restored = 0, rejected = 0;
+    for (sim::Design d : {sim::Design::Tourney, sim::Design::B2,
+                          sim::Design::TageL, sim::Design::RefBig}) {
+        const prog::Program& p = cache().get("mcf");
+        sim::Simulator s(p, sim::buildTopology(d), smallCfg(d));
+        ASSERT_TRUE(s.advanceTo(4000));
+        const warp::Snapshot good = warp::captureSnapshot(s);
+        const std::vector<Region> bitmaps = cacheBitmaps(good.payload);
+        for (int i = 0; i < kMutantsPerDesign; ++i) {
+            warp::Snapshot mutant = good;
+            mutate(mutant.payload, bitmaps, rng);
+            try {
+                warp::restoreSnapshot(
+                    s, warp::decodeSnapshot(warp::encodeSnapshot(mutant)));
+                ++restored;
+            } catch (const guard::CheckpointError&) {
+                ++rejected;
+            }
+        }
+        // Failed restores leave nothing behind that a good one keeps.
+        warp::restoreSnapshot(s, good);
+        EXPECT_EQ(warp::captureSnapshot(s).payload, good.payload)
+            << sim::designName(d);
+    }
+    EXPECT_GT(restored, 0u);
+    EXPECT_GT(rejected, 0u);
 }
 
 // ---------------------------------------------------------------------

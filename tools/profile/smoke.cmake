@@ -29,3 +29,13 @@ foreach(want " samples\n" "cobra::" "[cobra_sim]")
         message(FATAL_ERROR "profile table lacks '${want}':\n${table}")
     endif()
 endforeach()
+# A reader that closes the pipe at once, as `| head` does once it has
+# its lines: the symbolizer exits 0 and prints no traceback.
+execute_process(
+    COMMAND "${PYTHON}" "${SYMBOLIZE}" ${profiles}
+    COMMAND "${PYTHON}" -c "import os; os.close(0)"
+    RESULTS_VARIABLE rcs ERROR_VARIABLE err)
+list(GET rcs 0 rc)
+if(NOT rc EQUAL 0 OR NOT err STREQUAL "")
+    message(FATAL_ERROR "symbolize.py into a closed pipe: rc=${rc}\n${err}")
+endif()
