@@ -2,7 +2,6 @@
 
 #include <cassert>
 
-#include "warp/state_bpu.hpp"
 #include "warp/state_util.hpp"
 
 namespace cobra::bpu {
@@ -315,13 +314,6 @@ BranchPredictorUnit::commitPacket(FtqPos pos)
         hf_.at(pos).committed = true;
 }
 
-void
-BranchPredictorUnit::squashAll()
-{
-    hf_.squashAll();
-    repairQueue_.clear();
-}
-
 bool
 BranchPredictorUnit::needsUpdate(const HistoryFileEntry& e)
 {
@@ -462,98 +454,6 @@ BranchPredictorUnit::energyReport(const phys::EnergyModel& model) const
 }
 
 void
-HistoryFileEntry::saveState(warp::StateWriter& w) const
-{
-    w.u64(pc);
-    w.u32(fetchedSlots);
-    warp::saveHistFull(w, ghist);
-    w.u64(lhist);
-    w.u64(phist);
-    w.u64(lhistBefore);
-    warp::saveMetas(w, metas);
-    warp::saveBundle(w, finalPred);
-    warp::saveBoolArray(w, brMask);
-    warp::saveBoolArray(w, specTakenMask);
-    warp::saveU8Array(w, dirProvider);
-    warp::saveU8Array(w, targetProvider);
-    w.u32(rasPtr);
-    w.u64(firstSeq);
-    w.boolean(resolved);
-    w.boolean(mispredicted);
-    warp::saveBoolArray(w, takenMask);
-    w.boolean(cfiValid);
-    w.u32(cfiIdx);
-    w.u8(static_cast<std::uint8_t>(cfiType));
-    w.boolean(cfiTaken);
-    w.boolean(cfiIsCall);
-    w.boolean(cfiIsRet);
-    w.u64(actualTarget);
-    warp::saveBoolArray(w, sfbMask);
-    w.boolean(committed);
-}
-
-void
-HistoryFileEntry::restoreState(warp::StateReader& r,
-                               std::size_t num_components)
-{
-    pc = r.u64();
-    fetchedSlots = r.u32();
-    if (fetchedSlots > kMaxFetchWidth)
-        r.fail("history-file entry fetched-slot count out of range");
-    warp::loadHistFull(r, ghist);
-    lhist = r.u64();
-    phist = r.u64();
-    lhistBefore = r.u64();
-    warp::loadMetas(r, metas, num_components);
-    warp::loadBundle(r, finalPred);
-    warp::loadBoolArray(r, brMask);
-    warp::loadBoolArray(r, specTakenMask);
-    warp::loadU8Array(r, dirProvider);
-    warp::loadU8Array(r, targetProvider);
-    rasPtr = r.u32();
-    firstSeq = r.u64();
-    resolved = r.boolean();
-    mispredicted = r.boolean();
-    warp::loadBoolArray(r, takenMask);
-    cfiValid = r.boolean();
-    cfiIdx = r.u32();
-    const std::uint8_t type = r.u8();
-    if (type > static_cast<std::uint8_t>(CfiType::Jalr))
-        r.fail("history-file entry CFI type out of range");
-    cfiType = static_cast<CfiType>(type);
-    cfiTaken = r.boolean();
-    cfiIsCall = r.boolean();
-    cfiIsRet = r.boolean();
-    actualTarget = r.u64();
-    warp::loadBoolArray(r, sfbMask);
-    committed = r.boolean();
-}
-
-void
-HistoryFile::saveState(warp::StateWriter& w) const
-{
-    w.u64(head_);
-    w.u64(tail_);
-    for (FtqPos pos = head_; pos < tail_; ++pos)
-        ring_[pos % capacity_].saveState(w);
-}
-
-void
-HistoryFile::restoreState(warp::StateReader& r, std::size_t num_components)
-{
-    const FtqPos head = r.u64();
-    const FtqPos tail = r.u64();
-    if (tail < head || tail - head > capacity_)
-        r.fail("history-file occupancy exceeds its capacity");
-    head_ = head;
-    tail_ = tail;
-    for (auto& e : ring_)
-        e = HistoryFileEntry{};
-    for (FtqPos pos = head_; pos < tail_; ++pos)
-        ring_[pos % capacity_].restoreState(r, num_components);
-}
-
-void
 BranchPredictorUnit::saveState(warp::StateWriter& w) const
 {
     w.section("bpu");
@@ -561,12 +461,9 @@ BranchPredictorUnit::saveState(warp::StateWriter& w) const
     lhist_.saveState(w);
     w.u64(phist_.current());
     w.u64(querySerial_);
-    hf_.saveState(w);
-    w.u64(repairQueue_.size());
-    for (const RepairJob& job : repairQueue_) {
-        job.entry.saveState(w);
-        w.u64(job.pos);
-    }
+    // Only an empty file is checkpointed; its position still matters,
+    // since the contract auditor keys its state by FTQ position.
+    w.u64(hf_.tailPos());
     for (const auto* c : pred_.components()) {
         w.section(c->name());
         c->saveState(w);
@@ -583,21 +480,7 @@ BranchPredictorUnit::restoreState(warp::StateReader& r)
     lhist_.restoreState(r);
     phist_.restore(r.u64());
     querySerial_ = r.u64();
-    const std::size_t nComps = pred_.components().size();
-    hf_.restoreState(r, nComps);
-    repairQueue_.clear();
-    const std::uint64_t jobs = r.u64();
-    // Each mispredict queues at most capacity-1 squashed entries, and
-    // the walk drains before the next resolve: anything larger is not
-    // a state this machine produces.
-    if (jobs > std::uint64_t{hf_.capacity()} * 64)
-        r.fail("repair queue implausibly large");
-    for (std::uint64_t i = 0; i < jobs; ++i) {
-        RepairJob job;
-        job.entry.restoreState(r, nComps);
-        job.pos = r.u64();
-        repairQueue_.push_back(std::move(job));
-    }
+    hf_.restartAt(r.u64());
     for (auto* c : pred_.components()) {
         r.section(c->name());
         c->restoreState(r);

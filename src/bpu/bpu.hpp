@@ -150,9 +150,6 @@ class BranchPredictorUnit
     /** Mark the packet at @p pos fully committed (ready to update). */
     void commitPacket(FtqPos pos);
 
-    /** Full flush (e.g., simulation barrier): drop in-flight state. */
-    void squashAll();
-
     /** Advance the update/repair state machine by one cycle (§IV-B2). */
     void tick();
 
@@ -196,10 +193,11 @@ class BranchPredictorUnit
     const StatGroup& stats() const { return stats_; }
 
     /**
-     * Checkpoint the full BPU: histories, history file, repair queue,
-     * query serial, and every composed component (each bracketed by a
-     * name-tagged section). Event counters round-trip with the stat
-     * registry, not here.
+     * Checkpoint a quiesced BPU (empty history file, no repair walk
+     * queued; the simulator checks): the histories, the query serial,
+     * the history file's position, and every composed component (each
+     * bracketed by a name-tagged section). Event counters round-trip
+     * with the stat registry, not here.
      */
     void saveState(warp::StateWriter& w) const;
     void restoreState(warp::StateReader& r);

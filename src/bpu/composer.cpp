@@ -7,9 +7,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "warp/state_bpu.hpp"
-#include "warp/state_util.hpp"
-
 namespace cobra::bpu {
 
 namespace {
@@ -106,65 +103,6 @@ QueryState::reset(Addr pc, unsigned valid_slots, unsigned num_components,
     serial_ = serial;
     dirProvider_.fill(kNoProvider);
     targetProvider_.fill(kNoProvider);
-}
-
-void
-QueryState::saveState(warp::StateWriter& w) const
-{
-    w.u64(pc_);
-    w.u32(validSlots_);
-    w.u32(width_);
-    w.boolean(histCaptured_);
-    warp::saveHistFull(w, ghist_);
-    w.u64(lhist_);
-    w.u64(phist_);
-    w.u32(lastStage_);
-    w.u64(serial_);
-    w.u32(static_cast<std::uint32_t>(results_.size()));
-    for (const CompResult& res : results_) {
-        w.boolean(res.computed);
-        warp::saveBundle(w, res.out);
-        for (unsigned i = 0; i < kMaxFetchWidth; ++i)
-            w.u8(res.provided(i));
-    }
-    warp::saveMetas(w, metas_);
-    warp::saveU8Array(w, dirProvider_);
-    warp::saveU8Array(w, targetProvider_);
-}
-
-void
-QueryState::restoreState(warp::StateReader& r, std::size_t num_components)
-{
-    pc_ = r.u64();
-    validSlots_ = r.u32();
-    width_ = r.u32();
-    histCaptured_ = r.boolean();
-    warp::loadHistFull(r, ghist_);
-    lhist_ = r.u64();
-    phist_ = r.u64();
-    lastStage_ = r.u32();
-    serial_ = r.u64();
-    if (r.u32() != num_components)
-        r.fail("query result count differs from the component count");
-    results_.clear();
-    for (std::size_t c = 0; c < num_components; ++c) {
-        CompResult res;
-        res.computed = r.boolean();
-        warp::loadBundle(r, res.out);
-        for (unsigned i = 0; i < kMaxFetchWidth; ++i) {
-            const std::uint8_t p = r.u8();
-            if (p & ~(kProvideDir | kProvideTarget | kProvideType))
-                r.fail("query provide byte out of range");
-            res.dirMask |= ((p & kProvideDir) != 0) << i;
-            res.targetMask |= ((p & kProvideTarget) != 0) << i;
-            res.typeMask |= ((p & kProvideType) != 0) << i;
-        }
-        results_.push_back(res);
-    }
-    warp::loadMetas(r, metas_, num_components);
-    warp::loadU8Array(r, dirProvider_);
-    warp::loadU8Array(r, targetProvider_);
-    bundle_ = PredictionBundle{};
 }
 
 ComposedPredictor::ComposedPredictor(Topology topo, unsigned width)

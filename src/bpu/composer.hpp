@@ -18,11 +18,6 @@
 #include "bpu/topology.hpp"
 #include "common/stats.hpp"
 
-namespace cobra::warp {
-class StateWriter;
-class StateReader;
-} // namespace cobra::warp
-
 namespace cobra::bpu {
 
 /** Field groups a component can provide for a slot (pass-through
@@ -90,14 +85,6 @@ class QueryState
     {
         return targetProvider_;
     }
-
-    /**
-     * Checkpoint the in-flight evaluation state (warp snapshots). A
-     * restore fails with guard::CheckpointError unless the archive
-     * holds exactly @p num_components results and metadata entries.
-     */
-    void saveState(warp::StateWriter& w) const;
-    void restoreState(warp::StateReader& r, std::size_t num_components);
 
   private:
     friend class ComposedPredictor;

@@ -22,11 +22,6 @@
 #include "bpu/pred_types.hpp"
 #include "phys/area_model.hpp"
 
-namespace cobra::warp {
-class StateWriter;
-class StateReader;
-} // namespace cobra::warp
-
 namespace cobra::bpu {
 
 /** Monotonic position of an entry in the history file. */
@@ -87,12 +82,6 @@ struct HistoryFileEntry
 
     /** Ready to be dequeued (the packet's branches committed). */
     bool committed = false;
-
-    /** Checkpoint one entry (warp snapshots; defined in bpu.cpp). A
-     *  restore requires one metadata entry per component
-     *  (@p num_components). */
-    void saveState(warp::StateWriter& w) const;
-    void restoreState(warp::StateReader& r, std::size_t num_components);
 };
 
 /**
@@ -162,8 +151,9 @@ class HistoryFile
         tail_ = pos + 1;
     }
 
-    /** Drop everything (full pipeline flush). */
-    void squashAll() { tail_ = head_; }
+    /** Empty the file and continue its positions at @p pos (the
+     *  position a checkpointed empty file had). */
+    void restartAt(FtqPos pos) { head_ = tail_ = pos; }
 
     /**
      * Storage accounting: per-entry cost is dominated by the ghist
@@ -193,10 +183,6 @@ class HistoryFile
         c.logicGates = 2000;
         return c;
     }
-
-    /** Checkpoint positions and live entries (warp snapshots). */
-    void saveState(warp::StateWriter& w) const;
-    void restoreState(warp::StateReader& r, std::size_t num_components);
 
   private:
     unsigned capacity_;

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <string>
-
-#include "warp/state_io.hpp"
 
 namespace cobra::core {
 
@@ -553,196 +550,6 @@ Backend::creditIdle(std::uint64_t n)
 {
     if (!frontend_.bufferEmpty())
         this->*dispatchStall(frontend_.bufferFront()) += n;
-}
-
-void
-Backend::saveState(warp::StateWriter& w) const
-{
-    w.u64(robCount_);
-    for (std::size_t i = 0; i < robCount_; ++i) {
-        const RobEntry& e = robAt(i);
-        saveFetchedInst(w, e.fi, oracle_.program());
-        w.u8(static_cast<std::uint8_t>(e.st));
-        w.u8(static_cast<std::uint8_t>(e.iq));
-        w.u64(e.earliestIssue);
-        w.u64(e.doneCycle);
-        w.boolean(e.wasMispredict);
-        w.boolean(e.sfbConverted);
-        w.boolean(e.sfbShadow);
-        w.u64(e.sfbGuard);
-        w.u64(e.robId);
-    }
-
-    std::uint64_t liveSeqs = 0;
-    for (const SeqSlot& s : seqTable_)
-        if (s.seq != kInvalidSeq)
-            ++liveSeqs;
-    w.u64(liveSeqs);
-    for (const SeqSlot& s : seqTable_) {
-        if (s.seq == kInvalidSeq)
-            continue;
-        w.u64(s.seq);
-        w.u8(s.done);
-    }
-
-    // Sort the guard map's keys so identical states produce identical
-    // bytes regardless of hash-table iteration order.
-    std::vector<std::uint64_t> guards;
-    guards.reserve(sfbGuardDone_.size());
-    for (const auto& kv : sfbGuardDone_)
-        guards.push_back(kv.first);
-    std::sort(guards.begin(), guards.end());
-    w.u64(guards.size());
-    for (std::uint64_t g : guards) {
-        w.u64(g);
-        w.boolean(sfbGuardDone_.at(g));
-    }
-
-    w.u32(issuedCount_);
-    w.u64(nextDoneCycle_);
-    w.u64(robIdNext_);
-    // The layout keeps the oldest-Waiting watermark's slot; the head's
-    // robId is a valid watermark for readers that still resume a scan
-    // from it.
-    w.u64(robCount_ != 0 ? robAt(0).robId : robIdNext_);
-    for (unsigned c : iqCount_)
-        w.u32(c);
-    w.u32(ldqCount_);
-    w.u32(stqCount_);
-    w.boolean(sfbActive_);
-    w.u64(sfbActiveGuard_);
-    w.u64(sfbActiveTarget_);
-    w.u64(lastCommittedFtq_);
-    w.boolean(anyCommitted_);
-    w.u64(committedInsts_);
-    w.u64(committedBranches_);
-    w.u64(committedCfis_);
-    w.u64(condMispredicts_);
-    w.u64(jalrMispredicts_);
-    w.u64(sfbConversions_);
-}
-
-void
-Backend::restoreState(warp::StateReader& r)
-{
-    const std::uint64_t nRob = r.u64();
-    if (nRob > cfg_.robEntries)
-        r.fail("ROB occupancy " + std::to_string(nRob) +
-               " exceeds this configuration's " +
-               std::to_string(cfg_.robEntries) + " entries");
-    robHeadIdx_ = 0;
-    robCount_ = static_cast<std::size_t>(nRob);
-    for (RobEntry& e : robBuf_)
-        e = RobEntry{};
-    for (std::size_t i = 0; i < robCount_; ++i) {
-        RobEntry& e = robBuf_[i];
-        loadFetchedInst(r, e.fi, oracle_.program());
-        const std::uint8_t st = r.u8();
-        if (st > static_cast<std::uint8_t>(RobEntry::St::Done))
-            r.fail("ROB entry state out of range");
-        e.st = static_cast<RobEntry::St>(st);
-        const std::uint8_t iq = r.u8();
-        if (iq > static_cast<std::uint8_t>(IqClass::Fp))
-            r.fail("ROB entry issue-queue class out of range");
-        e.iq = static_cast<IqClass>(iq);
-        e.earliestIssue = r.u64();
-        e.doneCycle = r.u64();
-        e.wasMispredict = r.boolean();
-        e.sfbConverted = r.boolean();
-        e.sfbShadow = r.boolean();
-        e.sfbGuard = r.u64();
-        e.robId = r.u64();
-        // Wakeup links name their consumers by robId.
-        if (i != 0 && e.robId <= robBuf_[i - 1].robId)
-            r.fail("ROB robIds do not strictly increase");
-    }
-
-    for (SeqSlot& s : seqTable_)
-        s = SeqSlot{};
-    const std::uint64_t liveSeqs = r.u64();
-    if (liveSeqs > seqTable_.size())
-        r.fail("seq scoreboard occupancy exceeds its capacity");
-    for (std::uint64_t i = 0; i < liveSeqs; ++i) {
-        const SeqNum seq = r.u64();
-        const std::uint8_t done = r.u8();
-        seqTable_[seq & seqMask_] = SeqSlot{seq, done};
-    }
-
-    sfbGuardDone_.clear();
-    const std::uint64_t nGuards = r.u64();
-    if (nGuards > (std::uint64_t{1} << 20))
-        r.fail("SFB guard map implausibly large");
-    for (std::uint64_t i = 0; i < nGuards; ++i) {
-        const std::uint64_t g = r.u64();
-        sfbGuardDone_[g] = r.boolean();
-    }
-
-    issuedCount_ = r.u32();
-    nextDoneCycle_ = r.u64();
-    robIdNext_ = r.u64();
-    if (robCount_ != 0 && robIdNext_ <= robBuf_[robCount_ - 1].robId)
-        r.fail("next robId does not follow the youngest entry's");
-    (void)r.u64(); // Watermark slot; rebuildSched derives the state.
-    for (unsigned& c : iqCount_)
-        c = r.u32();
-    ldqCount_ = r.u32();
-    stqCount_ = r.u32();
-    sfbActive_ = r.boolean();
-    sfbActiveGuard_ = r.u64();
-    sfbActiveTarget_ = r.u64();
-    lastCommittedFtq_ = r.u64();
-    anyCommitted_ = r.boolean();
-    committedInsts_ = r.u64();
-    committedBranches_ = r.u64();
-    committedCfis_ = r.u64();
-    condMispredicts_ = r.u64();
-    jalrMispredicts_ = r.u64();
-    sfbConversions_ = r.u64();
-
-    rebuildSched(r);
-}
-
-void
-Backend::rebuildSched(warp::StateReader& r)
-{
-    for (SlotMask& m : ready_)
-        std::fill(m.begin(), m.end(), 0);
-    std::fill(issuedSlots_.begin(), issuedSlots_.end(), 0);
-    // Nothing is armed yet: the next issue arms the prefix whose
-    // decode delay has passed, readying entries with nothing to await.
-    armed_ = 0;
-
-    // robHeadIdx_ is 0, so an entry's slot is its position.
-    std::unordered_map<std::uint64_t, std::size_t> guardSlot;
-    for (std::size_t i = 0; i < robCount_; ++i) {
-        const RobEntry& e = robBuf_[i];
-        if (e.st == RobEntry::St::Issued)
-            setBit(issuedSlots_, i);
-        if (e.sfbConverted)
-            guardSlot[e.fi.dynId] = i;
-        if (e.fi.di.seq != kInvalidSeq) {
-            SeqSlot& q = seqTable_[e.fi.di.seq & seqMask_];
-            if (q.seq != e.fi.di.seq)
-                r.fail("ROB entry's seq is not on the scoreboard");
-            q.robSlot = static_cast<std::uint32_t>(i);
-        }
-    }
-    // Links must name in-flight producers.
-    for (const SeqSlot& q : seqTable_)
-        if (q.seq != kInvalidSeq && q.robSlot == kNoSlot)
-            r.fail("seq scoreboard names an entry not in flight");
-    for (const auto& kv : sfbGuardDone_)
-        if (guardSlot.count(kv.first) == 0)
-            r.fail("SFB guard map names a branch not in flight");
-    if (sfbActive_ && guardSlot.count(sfbActiveGuard_) != 0)
-        sfbActiveGuardSlot_ = guardSlot.at(sfbActiveGuard_);
-
-    // Oldest first, as at dispatch: a producer's list is reset before
-    // its consumers append to it. Entries past Waiting await nothing.
-    for (std::size_t i = 0; i < robCount_; ++i) {
-        const auto g = guardSlot.find(robBuf_[i].sfbGuard);
-        linkSources(i, g != guardSlot.end() ? g->second : 0);
-    }
 }
 
 } // namespace cobra::core

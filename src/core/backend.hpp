@@ -108,15 +108,9 @@ class Backend
 
     const BackendConfig& config() const { return cfg_; }
 
-    /**
-     * Checkpoint the full execution-engine state: the ROB ring (every
-     * in-flight instruction with its scheduling state), the seq
-     * scoreboard, SFB predication state, and the commit counters.
-     * Registered stat handles ride the stat registry. The wakeup and
-     * select state derives from these, so restore rebuilds it.
-     */
-    void saveState(warp::StateWriter& w) const;
-    void restoreState(warp::StateReader& r);
+    /** The CFI type a resolution of @p op reports to the predictor
+     *  (None for an instruction that is not control flow). */
+    static bpu::CfiType cfiTypeOf(prog::OpClass op);
 
   private:
     enum class IqClass : std::uint8_t { Int = 0, Mem = 1, Fp = 2 };
@@ -172,10 +166,10 @@ class Backend
     }
 
     // ---- Wakeup and select ---------------------------------------------
-    // Derived from the ROB, the seq scoreboard and the guard map, so
-    // restore rebuilds it. Select is oldest first per IQ class: it
-    // issues what an age-ordered scan of the Waiting entries would, and
-    // loads and stores reach the caches in that same order.
+    // Derived from the ROB, the seq scoreboard and the guard map.
+    // Select is oldest first per IQ class: it issues what an
+    // age-ordered scan of the Waiting entries would, and loads and
+    // stores reach the caches in that same order.
 
     /** A consumer waiting on this slot's result (stale once its slot
      *  no longer holds robId). */
@@ -220,10 +214,6 @@ class Backend
     void linkSources(std::size_t slot, std::size_t guardSlot);
     /** A completing entry decrements its consumers' pending counts. */
     void wakeConsumers(std::size_t producer);
-    /** Derive the wakeup state from the restored ROB, seq scoreboard
-     *  and guard map. */
-    void rebuildSched(warp::StateReader& r);
-
     static IqClass iqClassOf(prog::OpClass op);
 
     /** A dispatch-stall counter of this backend. */
@@ -250,8 +240,6 @@ class Backend
 
     /** Execution latency for an instruction issued at @p now. */
     Cycle execLatency(const exec::DynInst& di);
-
-    static bpu::CfiType cfiTypeOf(prog::OpClass op);
 
     exec::Oracle& oracle_;
     bpu::BranchPredictorUnit& bpu_;

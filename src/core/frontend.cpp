@@ -2,9 +2,6 @@
 
 #include <cassert>
 
-#include "warp/state_bpu.hpp"
-#include "warp/state_util.hpp"
-
 namespace cobra::core {
 
 using prog::OpClass;
@@ -453,124 +450,6 @@ Frontend::inFlightPackets() const
     for (const Packet* p : pipe_)
         out.push_back(PacketView{p->pc, p->stage, p->stallUntil});
     return out;
-}
-
-void
-saveFetchedInst(warp::StateWriter& w, const FetchedInst& fi,
-                const prog::Program& prog)
-{
-    exec::saveDynInst(w, fi.di, prog);
-    w.u64(fi.ftq);
-    w.u32(fi.slot);
-    w.boolean(fi.predTaken);
-    w.u64(fi.predNextPc);
-    w.boolean(fi.isPacketCfi);
-    w.u64(fi.dynId);
-}
-
-void
-loadFetchedInst(warp::StateReader& r, FetchedInst& fi,
-                const prog::Program& prog)
-{
-    exec::loadDynInst(r, fi.di, prog);
-    fi.ftq = r.u64();
-    fi.slot = r.u32();
-    fi.predTaken = r.boolean();
-    fi.predNextPc = r.u64();
-    fi.isPacketCfi = r.boolean();
-    fi.dynId = r.u64();
-}
-
-void
-Frontend::saveState(warp::StateWriter& w) const
-{
-    w.u64(nextFetchPc_);
-    w.boolean(finalizeSteer_);
-    w.boolean(onOraclePath_);
-    w.u64(wrongPathEpoch_);
-    w.u64(nextDynId_);
-    ras_.saveState(w);
-
-    w.u64(redirects_.size());
-    for (const RedirectRecord& rr : redirects_) {
-        w.u64(rr.pc);
-        w.u64(rr.cycle);
-    }
-
-    w.u64(buffer_.size());
-    for (const FetchedInst& fi : buffer_)
-        saveFetchedInst(w, fi, prog_);
-
-    w.u64(pipe_.size());
-    for (const Packet* p : pipe_) {
-        w.u64(p->pc);
-        w.u32(p->startSlot);
-        w.u32(p->stage);
-        w.u64(p->stallUntil);
-        p->query.saveState(w);
-        w.u64(p->predNextPc);
-        w.u32(static_cast<std::uint32_t>(p->pushedBits.size()));
-        for (std::size_t i = 0; i < p->pushedBits.size(); ++i)
-            w.boolean(p->pushedBits[i]);
-        warp::saveHistFull(w, p->ghistAfterPush);
-        w.u64(p->wrongPathSalt);
-    }
-}
-
-void
-Frontend::restoreState(warp::StateReader& r)
-{
-    nextFetchPc_ = r.u64();
-    finalizeSteer_ = r.boolean();
-    onOraclePath_ = r.boolean();
-    wrongPathEpoch_ = r.u64();
-    nextDynId_ = r.u64();
-    ras_.restoreState(r);
-
-    redirects_.clear();
-    const std::uint64_t nRedirects = r.u64();
-    if (nRedirects > kRedirectLog)
-        r.fail("redirect log exceeds its bound");
-    for (std::uint64_t i = 0; i < nRedirects; ++i) {
-        RedirectRecord rr;
-        rr.pc = r.u64();
-        rr.cycle = r.u64();
-        redirects_.push_back(rr);
-    }
-
-    buffer_.clear();
-    const std::uint64_t nBuffered = r.u64();
-    if (nBuffered > cfg_.fetchBufferInsts + cfg_.fetchWidth)
-        r.fail("fetch buffer exceeds its capacity");
-    for (std::uint64_t i = 0; i < nBuffered; ++i) {
-        FetchedInst fi;
-        loadFetchedInst(r, fi, prog_);
-        buffer_.push_back(fi);
-    }
-
-    releaseRange(0, pipe_.size());
-    const std::uint64_t nPackets = r.u64();
-    // The pipeline holds at most one packet per predictor stage.
-    if (nPackets > finalStage_ + 1)
-        r.fail("fetch pipeline deeper than the predictor");
-    for (std::uint64_t i = 0; i < nPackets; ++i) {
-        Packet* p = allocPacket();
-        p->pc = r.u64();
-        p->startSlot = r.u32();
-        p->stage = r.u32();
-        p->stallUntil = r.u64();
-        p->query.restoreState(r, bpu_.predictor().components().size());
-        p->predNextPc = r.u64();
-        p->pushedBits.clear();
-        const std::uint32_t nBits = r.u32();
-        if (nBits > bpu::kMaxFetchWidth)
-            r.fail("packet pushed-bit count out of range");
-        for (std::uint32_t b = 0; b < nBits; ++b)
-            p->pushedBits.push_back(r.boolean());
-        warp::loadHistFull(r, p->ghistAfterPush);
-        p->wrongPathSalt = r.u64();
-        pipe_.push_back(p);
-    }
 }
 
 void

@@ -146,17 +146,10 @@ class Frontend
     const FrontendConfig& config() const { return cfg_; }
 
     /**
-     * Checkpoint fetch state including in-flight packets (each with
-     * its predictor query mid-evaluation), the fetch buffer, and the
-     * RAS. Counters ride the stat registry.
-     */
-    void saveState(warp::StateWriter& w) const;
-    void restoreState(warp::StateReader& r);
-
-    /**
-     * Warp fast-forward support: reset fetch to the oracle's current
-     * PC with an empty pipeline (state as after construction, but
-     * with whatever the RAS/histories learned retained).
+     * Warp fast-forward and checkpoint restore: reset fetch to the
+     * oracle's current PC with an empty pipeline (state as after
+     * construction, but with whatever the RAS/histories learned
+     * retained).
      */
     void resetFetchToOracle();
 
@@ -283,12 +276,6 @@ class Frontend
     Stat<Counter> redirectEvents_{stats_, "redirects",
                                   "backend redirects after mispredicts"};
 };
-
-/** Serialize one fetched instruction (delegates to saveDynInst). */
-void saveFetchedInst(warp::StateWriter& w, const FetchedInst& fi,
-                     const prog::Program& prog);
-void loadFetchedInst(warp::StateReader& r, FetchedInst& fi,
-                     const prog::Program& prog);
 
 } // namespace cobra::core
 

@@ -355,18 +355,21 @@ Oracle::wrongPath(Addr raw_pc, std::uint64_t salt) const
     return di;
 }
 
+namespace {
+
+/**
+ * Serialize one generated instruction. The static-instruction pointer
+ * (never null: generateOne sets it) is encoded as its index into
+ * @p prog (the checkpoint fingerprint guarantees both sides see the
+ * same image).
+ */
 void
 saveDynInst(warp::StateWriter& w, const DynInst& di,
             const prog::Program& prog)
 {
     w.u64(di.seq);
     w.u64(di.pc);
-    // Pointer -> index into the static image; ~0 encodes null.
-    const std::uint64_t idx =
-        di.si == nullptr
-            ? ~std::uint64_t{0}
-            : static_cast<std::uint64_t>(di.si - &prog.at(prog.base()));
-    w.u64(idx);
+    w.u64(static_cast<std::uint64_t>(di.si - &prog.at(prog.base())));
     w.boolean(di.taken);
     w.u64(di.nextPc);
     w.u64(di.memAddr);
@@ -381,13 +384,9 @@ loadDynInst(warp::StateReader& r, DynInst& di, const prog::Program& prog)
     di.seq = r.u64();
     di.pc = r.u64();
     const std::uint64_t idx = r.u64();
-    if (idx == ~std::uint64_t{0}) {
-        di.si = nullptr;
-    } else {
-        if (idx >= prog.size())
-            r.fail("static-instruction index exceeds the program image");
-        di.si = &prog.at(prog.pcOf(idx));
-    }
+    if (idx >= prog.size())
+        r.fail("static-instruction index exceeds the program image");
+    di.si = &prog.at(prog.pcOf(idx));
     di.taken = r.boolean();
     di.nextPc = r.u64();
     di.memAddr = r.u64();
@@ -395,6 +394,8 @@ loadDynInst(warp::StateReader& r, DynInst& di, const prog::Program& prog)
     di.dep2 = r.u64();
     di.wrongPath = r.boolean();
 }
+
+} // namespace
 
 void
 Oracle::saveState(warp::StateWriter& w) const

@@ -135,12 +135,10 @@ class Oracle
      */
     DynInst wrongPath(Addr pc, std::uint64_t salt) const;
 
-    const prog::Program& program() const { return prog_; }
-
     /**
      * Checkpoint the full architectural execution state, including
-     * the rewindable output buffer (so in-flight squash/rewind state
-     * resumes bit-exactly).
+     * the rewindable output buffer (after a fast-forward it holds the
+     * one instruction fetch has peeked).
      */
     void saveState(warp::StateWriter& w) const;
     void restoreState(warp::StateReader& r);
@@ -228,16 +226,6 @@ class Oracle
     SeqNum bufferBase_ = 0; ///< seq of buffer_[0].
     std::size_t cursor_ = 0;
 };
-
-/**
- * Serialize one dynamic instruction. The static-instruction pointer
- * is encoded as its index into @p prog (the checkpoint fingerprint
- * guarantees both sides see the same image).
- */
-void saveDynInst(warp::StateWriter& w, const DynInst& di,
-                 const prog::Program& prog);
-void loadDynInst(warp::StateReader& r, DynInst& di,
-                 const prog::Program& prog);
 
 } // namespace cobra::exec
 

@@ -485,30 +485,37 @@ Simulator::restoreStats(warp::StateReader& r)
 }
 
 void
+Simulator::requireQuiesced(const char* where) const
+{
+    std::string why;
+    if (now_ != 0)
+        why = "it has run " + std::to_string(now_) + " detailed cycles";
+    else if (!bpu_->historyFile().empty())
+        why = "its history file holds " +
+              std::to_string(bpu_->historyFile().size()) +
+              " in-flight predictions";
+    else if (bpu_->walkBusy())
+        why = "its predictor has a repair walk queued";
+    if (!why.empty()) {
+        throw guard::CheckpointError(
+            where, "the simulator is not quiesced: " + why +
+                       " (a checkpoint holds only the state fastForward "
+                       "leaves: no detailed cycle run, nothing in "
+                       "flight)");
+    }
+}
+
+void
 Simulator::saveState(warp::StateWriter& w) const
 {
-    w.section("sim");
-    w.u64(now_);
-    w.boolean(runStateValid_);
-    w.u64(lastProgress_);
-    w.u64(lastProgressCycle_);
-    w.boolean(baseCaptured_);
-    w.u64(base_.insts);
-    w.u64(base_.branches);
-    w.u64(base_.cfis);
-    w.u64(base_.condMisp);
-    w.u64(base_.jalrMisp);
-    w.u64(base_.cycles);
-
+    requireQuiesced("capture");
     w.section("oracle");
     oracle_->saveState(w);
     w.section("caches");
     caches_->saveState(w);
     bpu_->saveState(w); // Writes its own "bpu" section.
-    w.section("frontend");
-    frontend_->saveState(w);
-    w.section("backend");
-    backend_->saveState(w);
+    w.section("ras");
+    frontend_->ras().saveState(w);
     w.section("faults");
     faults_->saveState(w);
     saveStats(w);
@@ -517,28 +524,15 @@ Simulator::saveState(warp::StateWriter& w) const
 void
 Simulator::restoreState(warp::StateReader& r)
 {
-    r.section("sim");
-    now_ = r.u64();
-    runStateValid_ = r.boolean();
-    lastProgress_ = r.u64();
-    lastProgressCycle_ = r.u64();
-    baseCaptured_ = r.boolean();
-    base_.insts = r.u64();
-    base_.branches = r.u64();
-    base_.cfis = r.u64();
-    base_.condMisp = r.u64();
-    base_.jalrMisp = r.u64();
-    base_.cycles = r.u64();
-
+    requireQuiesced("restore");
     r.section("oracle");
     oracle_->restoreState(r);
+    frontend_->resetFetchToOracle();
     r.section("caches");
     caches_->restoreState(r);
     bpu_->restoreState(r); // Verifies its own "bpu" section.
-    r.section("frontend");
-    frontend_->restoreState(r);
-    r.section("backend");
-    backend_->restoreState(r);
+    r.section("ras");
+    frontend_->ras().restoreState(r);
     r.section("faults");
     faults_->restoreState(r);
     restoreStats(r);

@@ -254,12 +254,11 @@ class Simulator
 
     /**
      * Drive the run's warmup/measure/watchdog state machine up to
-     * @p stop_cycle and pause, leaving resumable mid-run state:
-     * checkpoint here (saveState), and a later run() — on this
-     * simulator or on a restored one — finishes with exactly the
-     * result an uninterrupted run() would have produced. Returns true
-     * while the run has work left, false once it has finished (budget
-     * reached, deadlocked, or out of cycles).
+     * @p stop_cycle and pause; a later advanceTo() or run() resumes
+     * it and finishes with exactly the result an uninterrupted run()
+     * would have produced. Returns true while the run has work left,
+     * false once it has finished (budget reached, deadlocked, or out
+     * of cycles).
      */
     bool advanceTo(Cycle stop_cycle);
 
@@ -274,13 +273,16 @@ class Simulator
     SimResult finishRun();
 
     /**
-     * Serialize the complete mid-flight simulation state — oracle,
-     * caches, predictor composition, frontend (in-flight packets and
-     * all), backend (ROB and all), fault RNG, run-loop progress
-     * bookkeeping, and every registered stat — such that restoring
-     * into an identically-configured Simulator and continuing yields
-     * a bit-identical SimResult to the uninterrupted run. Pipeline
-     * trace events (CobraScope tracer) are not checkpointed.
+     * Serialize the state of a quiesced simulator — one that has run
+     * no detailed cycle and holds no in-flight prediction or repair
+     * walk, as warp::fastForward leaves it: the oracle, the caches,
+     * the predictor's histories and components, the RAS, the fault
+     * RNG, and every registered stat. Restoring into an identically-
+     * configured quiesced Simulator (which re-points fetch at the
+     * restored oracle) yields a bit-identical run to continuing the
+     * producer. Either call on a simulator that is not quiesced
+     * throws guard::CheckpointError naming what is in flight.
+     * Pipeline trace events (CobraScope tracer) are not checkpointed.
      */
     void saveState(warp::StateWriter& w) const;
     void restoreState(warp::StateReader& r);
@@ -347,6 +349,9 @@ class Simulator
     /** Deltas vs base_ plus the absolute event counters. */
     SimResult measuredResult(bool deadlocked);
 
+    /** Throw guard::CheckpointError (at @p where) unless quiesced. */
+    void requireQuiesced(const char* where) const;
+
     void saveStats(warp::StateWriter& w) const;
     void restoreStats(warp::StateReader& r);
 
@@ -372,8 +377,8 @@ class Simulator
     Cycle now_ = 0;
     std::uint64_t ticked_ = 0;
 
-    // Run-loop state lives in members (not run() locals) so a
-    // checkpoint taken mid-run resumes the measured region exactly.
+    // Run-loop state lives in members (not run() locals) so that
+    // advanceTo() slices resume the measured region exactly.
     Snapshot base_{};
     bool baseCaptured_ = false;
     bool runStateValid_ = false;

@@ -11,24 +11,6 @@ namespace {
 
 using prog::OpClass;
 
-bpu::CfiType
-cfiTypeOf(OpClass op)
-{
-    switch (op) {
-      case OpClass::CondBranch:
-        return bpu::CfiType::Br;
-      case OpClass::Jump:
-      case OpClass::Call:
-        return bpu::CfiType::Jal;
-      case OpClass::IndirectJump:
-      case OpClass::IndirectCall:
-      case OpClass::Return:
-        return bpu::CfiType::Jalr;
-      default:
-        return bpu::CfiType::None;
-    }
-}
-
 /** Warm one fetch packet through the real BPU protocol, with @p q
  *  as its query (beginQuery resets it). */
 std::uint64_t
@@ -135,7 +117,7 @@ warmPacket(sim::Simulator& s, std::uint64_t budget, bpu::QueryState& q)
     for (unsigned i = 0; i < nGot; ++i) {
         const exec::DynInst& di = got[i].di;
         const OpClass op = di.si->op;
-        const bpu::CfiType type = cfiTypeOf(op);
+        const bpu::CfiType type = core::Backend::cfiTypeOf(op);
         if (type == bpu::CfiType::None)
             continue;
         const unsigned slot = got[i].slot;

@@ -13,8 +13,6 @@ captureSnapshot(sim::Simulator& s)
 {
     Snapshot snap;
     snap.fingerprint = s.stateFingerprint();
-    snap.cycle = s.cycles();
-    snap.insts = s.backend().committedInsts();
     StateWriter w;
     s.saveState(w);
     snap.payload = w.take();
@@ -43,7 +41,6 @@ encodeSnapshot(const Snapshot& snap)
     w.u32(Snapshot::kMagic);
     w.u32(Snapshot::kVersion);
     w.u64(snap.fingerprint);
-    w.u64(snap.cycle);
     w.u64(snap.insts);
     w.u64(fnv1a(snap.payload.data(), snap.payload.size()));
     w.u64(snap.payload.size());
@@ -56,7 +53,7 @@ Snapshot
 decodeSnapshot(const std::vector<std::uint8_t>& bytes)
 {
     StateReader r(bytes);
-    if (r.remaining() < 48)
+    if (r.remaining() < 40)
         r.fail("snapshot header truncated");
     if (r.u32() != Snapshot::kMagic)
         r.fail("bad magic: not a warp snapshot");
@@ -68,7 +65,6 @@ decodeSnapshot(const std::vector<std::uint8_t>& bytes)
     }
     Snapshot snap;
     snap.fingerprint = r.u64();
-    snap.cycle = r.u64();
     snap.insts = r.u64();
     const std::uint64_t checksum = r.u64();
     const std::uint64_t payloadSize = r.u64();

@@ -121,33 +121,6 @@ loadHist(StateReader& r, HistoryRegister& h)
     h.restore(words);
 }
 
-/**
- * Full history-register serialization: length plus words. For
- * registers whose *length* is part of the state (history-file entries
- * and query snapshots start at length 1 and are later assigned a
- * full-width register), unlike the fixed-width providers above.
- */
-inline void
-saveHistFull(StateWriter& w, const HistoryRegister& h)
-{
-    w.u32(h.length());
-    w.vecU(h.snapshot());
-}
-
-inline void
-loadHistFull(StateReader& r, HistoryRegister& h)
-{
-    const std::uint32_t len = r.u32();
-    if (len < 1 || len > 4096)
-        r.fail("history-register length out of range");
-    HistoryRegister fresh(len);
-    const std::vector<std::uint64_t> words = r.vecU<std::uint64_t>();
-    if (words.size() != fresh.snapshot().size())
-        r.fail("history-register word count does not match its length");
-    fresh.restore(words);
-    h = fresh;
-}
-
 inline void
 saveRng(StateWriter& w, const Rng& rng)
 {

@@ -90,17 +90,18 @@ prepare(const WarpJob& job, JobRun& run)
             iv.startInst + (iv.lengthInsts - iv.sampledInsts) / 2;
     }
 
+    // The fast-forward master; on a warm hit it only supplies the
+    // fingerprint every cached snapshot must match.
+    sim::Simulator master(*job.program, job.topology(), run.runCfg);
+
     // ---- Warm-state cache probe (all-or-nothing) ----------------------
     std::vector<std::shared_ptr<Snapshot>>& snaps = run.snaps;
     snaps.resize(K);
     bool warm = false;
     if (wcfg.snapshotLookup) {
-        // A throwaway simulator supplies the fingerprint every cached
-        // snapshot must match; a mismatched or misplaced entry is a
-        // miss (regenerate), never trusted.
-        const std::uint64_t fp =
-            sim::Simulator(*job.program, job.topology(), run.runCfg)
-                .stateFingerprint();
+        // A mismatched or misplaced entry is a miss (regenerate),
+        // never trusted.
+        const std::uint64_t fp = master.stateFingerprint();
         warm = true;
         for (unsigned i = 0; i < K && warm; ++i) {
             auto snap = std::make_shared<Snapshot>();
@@ -116,17 +117,14 @@ prepare(const WarpJob& job, JobRun& run)
     }
 
     // ---- Serial fast-forward pass: one checkpoint per interval --------
-    sim::Simulator master(*job.program, job.topology(), run.runCfg);
     std::uint64_t ffAt = 0;
     for (unsigned i = 0; i < K; ++i) {
         const std::uint64_t start = est.intervals[i].sampleStart;
         fastForward(master, start - ffAt);
         ffAt = start;
         snaps[i] = std::make_shared<Snapshot>(captureSnapshot(master));
-        // The backend commits nothing during functional fast-forward,
-        // so captureSnapshot records insts == 0 here; stamp the
-        // snapshot with its architectural placement so the warm-probe
-        // position check above can match it on a later run.
+        // Stamp the snapshot with its architectural placement so the
+        // warm-probe position check above can match it on a later run.
         snaps[i]->insts = start;
         if (wcfg.snapshotStore)
             wcfg.snapshotStore(i, *snaps[i]);

@@ -71,13 +71,18 @@ TEST(HistoryFile, SquashAfterDropsYounger)
     EXPECT_EQ(hf.at(e).pc, 0xeu);
 }
 
-TEST(HistoryFile, SquashAll)
+TEST(HistoryFile, RestartAtContinuesPositions)
 {
+    // A checkpoint restore empties the file and continues its
+    // positions where the producer's empty file stood.
     HistoryFile hf(4);
     hf.enqueue(entryAt(1));
     hf.enqueue(entryAt(2));
-    hf.squashAll();
+    hf.restartAt(41);
     EXPECT_TRUE(hf.empty());
+    EXPECT_FALSE(hf.contains(1));
+    EXPECT_EQ(hf.enqueue(entryAt(3)), 41u);
+    EXPECT_EQ(hf.head().pc, 3u);
 }
 
 TEST(HistoryFile, RingWrapsCorrectly)

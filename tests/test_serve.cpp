@@ -680,7 +680,6 @@ TEST(ServeWarmCache, RoundTripsAndCountsHits)
     serve::WarmCache cache(scratchDir("cobra_warm_rt"));
     warp::Snapshot snap;
     snap.fingerprint = 0xF00D;
-    snap.cycle = 123;
     snap.insts = 456;
     snap.payload = {1, 2, 3, 4};
 
@@ -751,15 +750,15 @@ TEST(ServeWarmCache, DirectoryAndOldVersionEntriesAreEvictedAsMisses)
     fs::create_directories(dirKey);
 
     // An entry stored by this build, then its version word (bytes 4-7,
-    // after the magic) set to 1: the format before valid-line cache
-    // sections.
+    // after the magic) set to 2: the format that also held mid-run
+    // pipeline state.
     warp::Snapshot snap;
     snap.payload.assign(64, 7);
     const std::string oldKey = cache.keyPath("leela", 9, 2, 1);
     cache.store(oldKey, snap);
     std::string bytes = serve::readFileText(oldKey);
     ASSERT_EQ(bytes[4], static_cast<char>(warp::Snapshot::kVersion));
-    bytes[4] = 1;
+    bytes[4] = 2;
     writeFile(oldKey, bytes);
 
     warp::Snapshot out;

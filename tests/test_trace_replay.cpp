@@ -21,6 +21,7 @@
 #include "sim/sweep.hpp"
 #include "trace/replay.hpp"
 #include "trace/trace.hpp"
+#include "warp/fastforward.hpp"
 #include "warp/snapshot.hpp"
 #include "warp/warp.hpp"
 
@@ -142,32 +143,31 @@ TEST(TraceReplay, SnapshotsAreInterchangeableBetweenModes)
     sim::SimConfig rcfg = cfg;
     rcfg.replayTrace = leelaTrace();
 
-    sim::Simulator ref(p, sim::buildTopology(sim::Design::TageL), cfg);
-    const sim::SimResult want = ref.run();
-    ASSERT_GT(want.cycles, 0u);
-
-    // Execute-mode snapshot resumed under replay...
+    // The same fast-forward in both modes. Byte equality of the two
+    // archives is the strongest statement of state identity between
+    // the modes.
     sim::Simulator a(p, sim::buildTopology(sim::Design::TageL), cfg);
-    ASSERT_TRUE(a.advanceTo(want.cycles / 2));
+    warp::fastForward(a, 20000);
     const warp::Snapshot execSnap = warp::captureSnapshot(a);
-
-    sim::Simulator b(p, sim::buildTopology(sim::Design::TageL), rcfg);
-    warp::restoreSnapshot(b, execSnap);
-    EXPECT_EQ(b.run(), want)
-        << "execute-mode snapshot diverged when resumed from trace";
-
-    // ...and a replay-mode snapshot resumed under execute. Byte
-    // equality of the two archives is the strongest statement of
-    // state identity between the modes.
     sim::Simulator c(p, sim::buildTopology(sim::Design::TageL), rcfg);
-    ASSERT_TRUE(c.advanceTo(want.cycles / 2));
+    warp::fastForward(c, 20000);
     const warp::Snapshot replaySnap = warp::captureSnapshot(c);
     EXPECT_EQ(replaySnap.payload, execSnap.payload)
         << "replay-mode state diverged byte-wise from execute mode";
 
+    const sim::SimResult want = a.runInterval(2000, 10000);
+    ASSERT_GT(want.insts, 0u);
+
+    // Execute-mode snapshot resumed under replay...
+    sim::Simulator b(p, sim::buildTopology(sim::Design::TageL), rcfg);
+    warp::restoreSnapshot(b, execSnap);
+    EXPECT_EQ(b.runInterval(2000, 10000), want)
+        << "execute-mode snapshot diverged when resumed from trace";
+
+    // ...and a replay-mode snapshot resumed under execute.
     sim::Simulator e(p, sim::buildTopology(sim::Design::TageL), cfg);
     warp::restoreSnapshot(e, replaySnap);
-    EXPECT_EQ(e.run(), want)
+    EXPECT_EQ(e.runInterval(2000, 10000), want)
         << "replay-mode snapshot diverged when resumed executing";
 }
 

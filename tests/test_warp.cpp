@@ -1,19 +1,21 @@
 /**
  * @file
  * Warp subsystem tests: state-archive primitives, the bulk table
- * codecs, full-simulator checkpoint round-trips (including
- * mid-speculation captures taken at arbitrary cycles), pinned payload
- * bytes, structured rejection of corrupted or mismatched snapshots,
+ * codecs, round-trips of fast-forwarded (quiesced) simulators, the
+ * refusal of any other capture or restore, pinned payload bytes,
+ * structured rejection of corrupted or mismatched snapshots,
  * functional fast-forward, warp-driver determinism, and batched warp
  * runs against their solo runs.
  */
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -52,6 +54,23 @@ smallCfg(sim::Design d)
     cfg.warmupInsts = 2000;
     cfg.maxInsts = 40000;
     return cfg;
+}
+
+/** @p s fast-forwarded by @p insts and captured. */
+warp::Snapshot
+fastForwardAndCapture(sim::Simulator& s, std::uint64_t insts)
+{
+    warp::fastForward(s, insts);
+    return warp::captureSnapshot(s);
+}
+
+/** The rendered stat registry of @p s. */
+std::string
+statsJson(const sim::Simulator& s)
+{
+    std::ostringstream os;
+    s.statRegistry().writeJson(os, 0);
+    return os.str();
 }
 
 /** A scratch directory under the system temp dir, wiped on entry. */
@@ -354,13 +373,13 @@ TEST(StateIo, TageRowBlockRejectsBadBytes)
 // Full-simulator snapshot round-trips
 // ---------------------------------------------------------------------
 
-TEST(Snapshot, MidRunRoundTripIsBitExactForEveryPresetDesign)
+TEST(Snapshot, QuiescedRoundTripIsBitExactForEveryPresetDesign)
 {
-    // Restore rebuilds the scheduler's wakeup state from the ROB. On
-    // coremark a guard converts every ~35 cycles, so SFB captures hold
-    // shadows waiting on unresolved guards (Tournament/sfb and the
-    // B2 and TAGE-L stress cores did when this was written); the
-    // stress core adds full queues and contended ports.
+    // A restored simulator starts with an empty pipeline, as its
+    // producer does after fast-forward, and the interval's detailed
+    // warmup refills it. On coremark a guard converts every ~35
+    // cycles, so the SFB variants run predicated shadows; the stress
+    // core adds full queues and contended ports.
     struct Variant
     {
         const char* name;
@@ -381,83 +400,79 @@ TEST(Snapshot, MidRunRoundTripIsBitExactForEveryPresetDesign)
             if (v.stress)
                 test::useStressCore(cfg);
 
-            sim::Simulator ref(p, sim::buildTopology(d), cfg);
-            const sim::SimResult want = ref.run();
-            ASSERT_GT(want.cycles, 0u);
-
-            // Stop mid-run at an arbitrary cycle: the pipeline is full
-            // of in-flight speculation (fetch packets, ROB entries,
-            // pending repair walks) — exactly the state a checkpoint
-            // must carry.
             sim::Simulator a(p, sim::buildTopology(d), cfg);
-            ASSERT_TRUE(a.advanceTo(want.cycles / 2))
-                << what << ": run finished before midpoint";
-            const warp::Snapshot snap = warp::captureSnapshot(a);
-            EXPECT_EQ(snap.cycle, want.cycles / 2);
+            const warp::Snapshot snap = fastForwardAndCapture(a, 20000);
 
-            // The capturing simulator itself resumes bit-exactly...
-            const sim::SimResult resumed = a.run();
-            EXPECT_EQ(resumed, want)
-                << what << ": capture perturbed the run";
-
-            // ...and so does a fresh simulator restored from the
-            // snapshot.
+            // A fresh simulator restored from the snapshot holds what
+            // the producer held: it captures the same bytes...
             sim::Simulator b(p, sim::buildTopology(d), cfg);
             warp::restoreSnapshot(b, snap);
-            const sim::SimResult restored = b.run();
-            EXPECT_EQ(restored, want) << what << ": restore diverged";
+            EXPECT_EQ(warp::captureSnapshot(b).payload, snap.payload)
+                << what << ": restore changed the state";
+
+            // ...and runs the same interval as the producer itself.
+            const sim::SimResult want = a.runInterval(2000, 8000);
+            ASSERT_GT(want.insts, 0u) << what;
+            EXPECT_EQ(want.sfbConversions > 0, v.sfb) << what;
+            EXPECT_EQ(b.runInterval(2000, 8000), want)
+                << what << ": restore diverged";
+            EXPECT_EQ(statsJson(b), statsJson(a)) << what;
         }
     }
 }
 
-TEST(Snapshot, BackendRestoreChecksOccupancyAndRobIdOrder)
+TEST(Snapshot, CaptureAndRestoreRequireAQuiescedSimulator)
 {
-    // REF-BIG's 224-entry ROB rides a 256-slot ring: occupancy is
-    // checked against the configured size, before any entry is read.
-    const prog::Program& p = cache().get("leela");
-    sim::Simulator s(p, sim::buildTopology(sim::Design::RefBig),
-                     smallCfg(sim::Design::RefBig));
-    const auto restoreError = [&](const std::vector<std::uint8_t>& b) {
-        warp::StateReader r(b);
+    const prog::Program& p = cache().get("x264");
+    const sim::SimConfig cfg = smallCfg(sim::Design::B2);
+    sim::Simulator producer(p, sim::buildTopology(sim::Design::B2), cfg);
+    const warp::Snapshot good = fastForwardAndCapture(producer, 10000);
+
+    // A simulator stopped mid-run has a pipeline in flight: neither
+    // its capture nor a restore over it is a checkpoint.
+    sim::Simulator running(p, sim::buildTopology(sim::Design::B2), cfg);
+    ASSERT_TRUE(running.advanceTo(5000));
+    const auto error = [](auto&& call) {
         try {
-            s.backend().restoreState(r);
+            call();
         } catch (const guard::CheckpointError& e) {
             return std::string(e.what());
         }
         return std::string("accepted");
     };
-    {
-        warp::StateWriter w;
-        w.u64(225);
-        EXPECT_NE(restoreError(w.take()).find(
-                      "ROB occupancy 225 exceeds this configuration's "
-                      "224 entries"),
-                  std::string::npos);
-    }
-    // Wakeup links name consumers by robId: a repeated id is refused
-    // as soon as its entry is read.
-    {
-        warp::StateWriter w;
-        w.u64(2);
-        core::FetchedInst fi;
-        fi.di.pc = p.entry();
-        fi.di.si = &p.at(p.entry());
-        for (int i = 0; i < 2; ++i) {
-            core::saveFetchedInst(w, fi, p);
-            w.u8(0);           // Waiting
-            w.u8(0);           // Int
-            w.u64(0);          // earliestIssue
-            w.u64(0);          // doneCycle
-            w.boolean(false);  // wasMispredict
-            w.boolean(false);  // sfbConverted
-            w.boolean(false);  // sfbShadow
-            w.u64(0);          // sfbGuard
-            w.u64(7);          // robId
-        }
-        EXPECT_NE(restoreError(w.take()).find(
-                      "ROB robIds do not strictly increase"),
-                  std::string::npos);
-    }
+    const std::string captured =
+        error([&] { warp::captureSnapshot(running); });
+    EXPECT_NE(captured.find("capture: the simulator is not quiesced: it "
+                            "has run 5000 detailed cycles"),
+              std::string::npos)
+        << captured;
+    const std::string restored =
+        error([&] { warp::restoreSnapshot(running, good); });
+    EXPECT_NE(restored.find("restore: the simulator is not quiesced: it "
+                            "has run 5000 detailed cycles"),
+              std::string::npos)
+        << restored;
+
+    // A prediction in the history file is in flight too, even before
+    // the first cycle.
+    sim::Simulator queried(p, sim::buildTopology(sim::Design::B2), cfg);
+    bpu::BranchPredictorUnit& bpu = queried.bpu();
+    bpu::QueryState q;
+    bpu.beginQuery(q, p.entry(), cfg.frontend.fetchWidth);
+    bpu::FinalizeArgs args;
+    args.finalPred = &bpu.stage(q, 1);
+    bpu.captureHistory(q);
+    for (unsigned d = 2; d <= bpu.maxLatency(); ++d)
+        bpu.stage(q, d);
+    args.fetchedSlots = 1;
+    bpu.finalize(q, args);
+    ASSERT_EQ(queried.cycles(), 0u);
+    EXPECT_NE(error([&] { warp::captureSnapshot(queried); })
+                  .find("its history file holds 1 in-flight predictions"),
+              std::string::npos);
+    EXPECT_NE(error([&] { warp::restoreSnapshot(queried, good); })
+                  .find("its history file holds 1 in-flight predictions"),
+              std::string::npos);
 }
 
 TEST(Snapshot, AuditedRunRoundTripsBitExactly)
@@ -466,16 +481,16 @@ TEST(Snapshot, AuditedRunRoundTripsBitExactly)
     sim::SimConfig cfg = smallCfg(sim::Design::B2);
     cfg.audit = true;
 
-    sim::Simulator ref(p, sim::buildTopology(sim::Design::B2), cfg);
-    const sim::SimResult want = ref.run();
-
+    // The auditor keys its state by history-file position and checks
+    // the query serial, so both ride the checkpoint.
     sim::Simulator a(p, sim::buildTopology(sim::Design::B2), cfg);
-    ASSERT_TRUE(a.advanceTo(want.cycles / 3));
-    const warp::Snapshot snap = warp::captureSnapshot(a);
+    const warp::Snapshot snap = fastForwardAndCapture(a, 14000);
 
     sim::Simulator b(p, sim::buildTopology(sim::Design::B2), cfg);
     warp::restoreSnapshot(b, snap);
-    EXPECT_EQ(b.run(), want);
+    const sim::SimResult want = a.runInterval(2000, 12000);
+    EXPECT_GT(want.auditChecks, 0u);
+    EXPECT_EQ(b.runInterval(2000, 12000), want);
 }
 
 TEST(Snapshot, EncodeDecodeRoundTrips)
@@ -483,13 +498,13 @@ TEST(Snapshot, EncodeDecodeRoundTrips)
     const prog::Program& p = cache().get("x264");
     const sim::SimConfig cfg = smallCfg(sim::Design::Tourney);
     sim::Simulator s(p, sim::buildTopology(sim::Design::Tourney), cfg);
-    ASSERT_TRUE(s.advanceTo(5000));
-    const warp::Snapshot snap = warp::captureSnapshot(s);
+    warp::Snapshot snap = fastForwardAndCapture(s, 10000);
+    snap.insts = 10000;
 
     const std::vector<std::uint8_t> bytes = warp::encodeSnapshot(snap);
+    EXPECT_EQ(bytes.size(), 40 + snap.payload.size());
     const warp::Snapshot back = warp::decodeSnapshot(bytes);
     EXPECT_EQ(back.fingerprint, snap.fingerprint);
-    EXPECT_EQ(back.cycle, snap.cycle);
     EXPECT_EQ(back.insts, snap.insts);
     EXPECT_EQ(back.payload, snap.payload);
 }
@@ -499,9 +514,8 @@ TEST(Snapshot, CorruptionIsRejectedStructurally)
     const prog::Program& p = cache().get("x264");
     const sim::SimConfig cfg = smallCfg(sim::Design::Tourney);
     sim::Simulator s(p, sim::buildTopology(sim::Design::Tourney), cfg);
-    ASSERT_TRUE(s.advanceTo(5000));
     const std::vector<std::uint8_t> good =
-        warp::encodeSnapshot(warp::captureSnapshot(s));
+        warp::encodeSnapshot(fastForwardAndCapture(s, 10000));
 
     // Bad magic.
     {
@@ -543,8 +557,7 @@ TEST(Snapshot, FingerprintMismatchIsRejectedOnRestore)
     const prog::Program& p = cache().get("x264");
     sim::Simulator producer(p, sim::buildTopology(sim::Design::B2),
                             smallCfg(sim::Design::B2));
-    ASSERT_TRUE(producer.advanceTo(5000));
-    const warp::Snapshot snap = warp::captureSnapshot(producer);
+    const warp::Snapshot snap = fastForwardAndCapture(producer, 10000);
 
     // A differently-configured simulator must refuse the snapshot
     // before touching the payload.
@@ -554,66 +567,40 @@ TEST(Snapshot, FingerprintMismatchIsRejectedOnRestore)
                  guard::CheckpointError);
 }
 
-TEST(Snapshot, MalformedQueryIsRejected)
+TEST(Snapshot, OracleInstructionOutsideTheImageIsRejected)
 {
-    // A query in a snapshot must hold exactly one result and one
-    // metadata entry per component of the restoring predictor, and a
-    // provide byte only the three field groups: anything else would
-    // index past the query's arrays once evaluation resumes.
-    bpu::ComposedPredictor cp(sim::buildTopology(sim::Design::B2), 4);
-    const std::size_t n = cp.components().size();
-    bpu::QueryState q;
-    q.reset(0x10040, 4, static_cast<unsigned>(n), 4);
-    cp.evaluateStage(q, 1);
-    q.captureHistory(HistoryRegister(64), 0);
-    for (unsigned d = 2; d <= cp.maxLatency(); ++d)
-        cp.evaluateStage(q, d);
-    warp::StateWriter w;
-    q.saveState(w);
-    const std::vector<std::uint8_t> good = w.take();
+    // The oracle's buffered instructions name their static instruction
+    // by index into the image. No index may decode as a null pointer
+    // (all-ones once did), which fetch and the backend dereference.
+    const prog::Program& p = cache().get("x264");
+    const sim::SimConfig cfg = smallCfg(sim::Design::B2);
+    sim::Simulator s(p, sim::buildTopology(sim::Design::B2), cfg);
+    const warp::Snapshot good = fastForwardAndCapture(s, 10000);
 
-    const auto restore = [](const std::vector<std::uint8_t>& bytes,
-                            std::size_t comps) {
-        warp::StateReader r(bytes);
-        bpu::QueryState back;
-        try {
-            back.restoreState(r, comps);
-            r.expectEnd();
-        } catch (const guard::CheckpointError& e) {
-            return std::string(e.what());
-        }
-        warp::StateWriter again;
-        back.saveState(again);
-        return again.bytes() == bytes ? std::string("accepted")
-                                      : std::string("changed");
-    };
-    EXPECT_EQ(restore(good, n), "accepted");
-    EXPECT_NE(restore(good, n + 1).find("query result count"),
-              std::string::npos);
-    EXPECT_NE(restore(good, n - 1).find("query result count"),
-              std::string::npos);
+    // The buffered instruction is the one fetch has peeked: its seq,
+    // PC and index open its record.
+    const exec::DynInst& next = s.oracle().peek(0);
+    warp::StateWriter record;
+    record.u64(next.seq);
+    record.u64(next.pc);
+    record.u64(p.indexOf(next.pc));
+    const std::vector<std::uint8_t>& m = record.bytes();
+    const auto at = std::search(good.payload.begin(), good.payload.end(),
+                                m.begin(), m.end());
+    ASSERT_NE(at, good.payload.end());
+    warp::Snapshot bad = good;
+    std::fill_n(bad.payload.begin() + (at - good.payload.begin()) + 16, 8,
+                std::uint8_t{0xFF});
 
-    // The archive ends with the metadata (a u32 count, then 32 bytes
-    // per entry) and two 8-byte provider arrays; before them sit the
-    // results, 125 bytes each: computed flag, 116-byte bundle, then
-    // one provide byte per slot.
-    const std::size_t metaAt = good.size() - 16 - n * 32 - 4;
-    {
-        std::vector<std::uint8_t> bad = good;
-        bad[metaAt] = static_cast<std::uint8_t>(n - 1);
-        bad.erase(bad.begin() + static_cast<std::ptrdiff_t>(metaAt + 4),
-                  bad.begin() + static_cast<std::ptrdiff_t>(metaAt + 36));
-        EXPECT_NE(restore(bad, n).find("metadata count"),
-                  std::string::npos);
-    }
-    const std::size_t provideAt = metaAt - n * 125 + 1 + 116;
-    for (std::uint8_t byte : {std::uint8_t{0x07}, std::uint8_t{0x08},
-                              std::uint8_t{0x80}}) {
-        std::vector<std::uint8_t> bad = good;
-        bad[provideAt] = byte;
-        EXPECT_EQ(restore(bad, n).find("provide byte") != std::string::npos,
-                  byte != 0x07)
-            << int{byte};
+    sim::Simulator b(p, sim::buildTopology(sim::Design::B2), cfg);
+    try {
+        warp::restoreSnapshot(b, bad);
+        ADD_FAILURE() << "an instruction outside the image restored";
+    } catch (const guard::CheckpointError& e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "static-instruction index exceeds the program image"),
+                  std::string::npos)
+            << e.what();
     }
 }
 
@@ -621,11 +608,11 @@ TEST(Snapshot, CapturedPayloadBytesArePinned)
 {
     // The checkpoint byte format is a contract with files already on
     // disk. Size and FNV-1a digest of a fast-forwarded capture on mcf,
-    // one per preset, in format version 2, which writes each cache
-    // level as a bitmap of its valid lines and those lines only; each
-    // payload is under half its version-1 size, which wrote 17 bytes
-    // per line, valid or not.
-    static_assert(warp::Snapshot::kVersion == 2);
+    // one per preset, in format version 3, which holds a quiesced
+    // simulator only and writes each cache level as a bitmap of its
+    // valid lines and those lines only; each payload is under half its
+    // version-1 size, which wrote 17 bytes per line, valid or not.
+    static_assert(warp::Snapshot::kVersion == 3);
     struct Pin
     {
         sim::Design design;
@@ -634,10 +621,10 @@ TEST(Snapshot, CapturedPayloadBytesArePinned)
         std::size_t version1Bytes;
     };
     const Pin pins[] = {
-        {sim::Design::Tourney, 442950, 0x33ddc11c33c1d0c8ull, 1397078},
-        {sim::Design::B2, 438755, 0x14415ad67bd7600aull, 1392883},
-        {sim::Design::TageL, 643101, 0xdb8e0963108cd79full, 1597229},
-        {sim::Design::RefBig, 1665765, 0xa2a13c97ebfa6043ull, 6043189},
+        {sim::Design::Tourney, 442625, 0xeccfd7e5fee263dfull, 1397078},
+        {sim::Design::B2, 438430, 0x4c17984e1fe0fb7bull, 1392883},
+        {sim::Design::TageL, 642776, 0x9f59fde30102d412ull, 1597229},
+        {sim::Design::RefBig, 1665440, 0x20131f59fe25b692ull, 6043189},
     };
     for (const Pin& pin : pins) {
         const sim::DesignSpec spec = sim::presetSpec(pin.design);
@@ -663,14 +650,16 @@ TEST(Snapshot, FileRoundTripAndIoErrors)
     const prog::Program& p = cache().get("x264");
     const sim::SimConfig cfg = smallCfg(sim::Design::Tourney);
     sim::Simulator s(p, sim::buildTopology(sim::Design::Tourney), cfg);
-    ASSERT_TRUE(s.advanceTo(5000));
-    const warp::Snapshot snap = warp::captureSnapshot(s);
+    warp::Snapshot snap = fastForwardAndCapture(s, 10000);
+    snap.insts = 10000;
 
-    const std::string path = dir + "/mid.warp";
+    const std::string path = dir + "/ff.warp";
     warp::writeSnapshotFile(snap, path);
+    EXPECT_EQ(std::filesystem::file_size(path),
+              40 + snap.payload.size());
     const warp::Snapshot back = warp::readSnapshotFile(path);
     EXPECT_EQ(back.payload, snap.payload);
-    EXPECT_EQ(back.cycle, snap.cycle);
+    EXPECT_EQ(back.insts, snap.insts);
 
     EXPECT_THROW(warp::readSnapshotFile(dir + "/missing.warp"),
                  guard::CheckpointError);
@@ -765,8 +754,8 @@ TEST(Snapshot, MutatedPayloadsRestoreOrReject)
     // Untrusted checkpoint bytes end in a restore or a
     // guard::CheckpointError, never a crash or undefined behaviour
     // (the sanitizer build runs this too). Each mutant of a real
-    // mid-run capture is re-encoded, so its checksum holds and the
-    // restore decodes the mutated bytes. The cache bitmaps address
+    // fast-forwarded capture is re-encoded, so its checksum holds and
+    // the restore decodes the mutated bytes. The cache bitmaps address
     // the line arrays, so half the mutants land in them.
     constexpr int kMutantsPerDesign = 150;
     Rng rng(0xB17A5);
@@ -775,8 +764,7 @@ TEST(Snapshot, MutatedPayloadsRestoreOrReject)
                           sim::Design::TageL, sim::Design::RefBig}) {
         const prog::Program& p = cache().get("mcf");
         sim::Simulator s(p, sim::buildTopology(d), smallCfg(d));
-        ASSERT_TRUE(s.advanceTo(4000));
-        const warp::Snapshot good = warp::captureSnapshot(s);
+        const warp::Snapshot good = fastForwardAndCapture(s, 6000);
         const std::vector<Region> bitmaps = cacheBitmaps(good.payload);
         for (int i = 0; i < kMutantsPerDesign; ++i) {
             warp::Snapshot mutant = good;
@@ -991,6 +979,31 @@ TEST(Warp, WarmCacheSkipsFastForwardBitIdentically)
     for (std::size_t i = 0; i < cold.intervals.size(); ++i)
         EXPECT_EQ(warm.intervals[i].result, cold.intervals[i].result)
             << "interval " << i << " diverged on the warm path";
+}
+
+TEST(Warp, HookedJobBuildsOneSimulatorPerIntervalPlusTheMaster)
+{
+    // Topologies are single-use, so the factory counts simulators:
+    // one per interval plus the fast-forward master, whose fingerprint
+    // also vets the warm entries. A warm pass builds as many.
+    MemorySnapshotStore store;
+    warp::WarpConfig w;
+    w.intervals = 4;
+    w.sampleInsts = 4000;
+    w.warmupCycles = 2000;
+    store.wire(w);
+    std::atomic<unsigned> built{0};
+    warp::WarpJob job = leelaB2Job(w);
+    job.topology = [&built] {
+        ++built;
+        return sim::buildTopology(sim::Design::B2);
+    };
+
+    EXPECT_EQ(soloWarp(job, 2).warmHits, 0u);
+    EXPECT_EQ(built.load(), w.intervals + 1);
+    built = 0;
+    EXPECT_EQ(soloWarp(job, 2).warmHits, w.intervals);
+    EXPECT_EQ(built.load(), w.intervals + 1);
 }
 
 TEST(Warp, PartialWarmCacheFallsBackToColdPass)
